@@ -5,9 +5,10 @@
 #   2. run the complete test suite under the sanitizers (includes the
 #      chaos soak and the fuzz corpus; use `ctest -LE slow` manually if
 #      you only want the quick tier);
-#   3. re-run the fuzz label explicitly — decoder fuzzing is the suite
+#   3. repeat the wall-clock suites (realtime, udp_fault) three times;
+#   4. re-run the fuzz label explicitly — decoder fuzzing is the suite
 #      the sanitizers exist for, so its result is surfaced on its own;
-#   4. produce a bench export and validate it with `rtct_trace --check`,
+#   5. produce a bench export and validate it with `rtct_trace --check`,
 #      so the observability schema cannot silently rot.
 #
 # Usage: scripts/check.sh [extra ctest args...]
@@ -20,6 +21,13 @@ cmake --build --preset sanitize -j "$(nproc)"
 
 echo "==> full test suite under ASan/UBSan"
 ctest --preset sanitize -j "$(nproc)" "$@"
+
+echo "==> wall-clock suites again, three times each (timing assertions)"
+# realtime_test's wake-up budget and udp_fault_test's deadline checks read
+# the real clock; repeating them here makes a flaky bound fail in CI
+# rather than on a user's machine.
+ctest --preset sanitize -R "^(realtime_test|udp_fault_test)$" \
+      --repeat until-fail:3 --output-on-failure
 
 echo "==> fuzz label (decoder corpus + random fuzz)"
 ctest --preset sanitize -L fuzz --output-on-failure

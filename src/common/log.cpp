@@ -1,5 +1,6 @@
 #include "src/common/log.h"
 
+#include <chrono>
 #include <cstdio>
 
 #include "src/common/time.h"
@@ -34,6 +35,12 @@ std::string format_dur(Dur d) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3fms", to_ms(d));
   return buf;
+}
+
+Time steady_now() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace rtct

@@ -40,4 +40,8 @@ constexpr Dur frame_period(int cfps) { return kSecond / cfps; }
 /// Renders a duration as "12.345ms" for logs and reports.
 std::string format_dur(Dur d);
 
+/// The host's monotonic clock (std::chrono::steady_clock) as a Time — the
+/// clock of everything that runs in real time; simulated code never reads it.
+Time steady_now();
+
 }  // namespace rtct

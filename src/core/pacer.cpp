@@ -34,6 +34,7 @@ void FramePacer::begin_frame(Time now, FrameNo current_frame, const SyncPeer::Re
 
 Dur FramePacer::end_frame(Time now) {
   ++frames_;
+  resume_at_ = kNoWait;
   if (policy_ == PacingPolicy::kNaive) {
     // §3.2's strawman: block until the end of the nominal frame slot and
     // carry nothing forward. Works on one host, oscillates over a network.
@@ -55,7 +56,13 @@ Dur FramePacer::end_frame(Time now) {
   }
   adjust_ = 0;  // lines 6-7: on time — absorb the remainder by waiting
   total_wait_ += frame_end - now;
+  resume_at_ = frame_end;
   return frame_end - now;
+}
+
+void FramePacer::note_wake(Time now) {
+  if (now > resume_at_) adjust_ -= now - resume_at_;
+  resume_at_ = kNoWait;
 }
 
 void FramePacer::export_metrics(MetricsRegistry& reg) const {

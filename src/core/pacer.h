@@ -6,7 +6,9 @@
 //  * Lag compensation (Algorithm 3): a frame that overran its 1/CFPS slot
 //    (because SyncInput stalled on the network) leaves a *negative*
 //    AdjustTimeDelta that shortens the following frames until the schedule
-//    is caught up; an on-time frame waits out its remainder.
+//    is caught up; an on-time frame waits out its remainder. On the wall
+//    clock the wait itself can end late (timer slack, scheduling), and
+//    note_wake() carries that lateness forward the same way.
 //
 //  * Master/slave rate sync (Algorithm 4): only the slave (site 1)
 //    estimates the master's current frame — from the freshest
@@ -50,6 +52,14 @@ class FramePacer {
   /// was pushed into AdjustTimeDelta instead).
   [[nodiscard]] Dur end_frame(Time now);
 
+  /// Wall-clock loops (RealtimeSession): the wait end_frame granted ended
+  /// at `now`. A late wake is carried into AdjustTimeDelta exactly like an
+  /// overrun, so the frame schedule stays anchored instead of slipping by
+  /// the lateness every frame. No-op after an overrun (its deficit is
+  /// already carried), for an early or exact wake, and under kNaive. The
+  /// virtual-time testbed sleeps exactly and never calls this.
+  void note_wake(Time now);
+
   [[nodiscard]] Dur adjust_time_delta() const { return adjust_; }
   [[nodiscard]] Dur last_sync_adjust() const { return last_sync_adjust_; }
   [[nodiscard]] Time current_frame_start() const { return frame_start_; }
@@ -72,6 +82,8 @@ class FramePacer {
   Time frame_start_ = 0;      ///< CurrFrameStart
   Dur adjust_ = 0;            ///< AdjustTimeDelta
   Dur last_sync_adjust_ = 0;  ///< most recent SyncAdjustTimeDelta (telemetry)
+  static constexpr Time kNoWait = INT64_MAX;
+  Time resume_at_ = kNoWait;  ///< end of the wait end_frame granted, if any
   std::uint64_t frames_ = 0;
   std::uint64_t overruns_ = 0;  ///< frames whose slot ended in the past
   Dur total_wait_ = 0;          ///< sum of sleeps granted by end_frame

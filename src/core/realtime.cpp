@@ -1,21 +1,12 @@
 #include "src/core/realtime.h"
 
-#include <chrono>
+#include <algorithm>
 #include <iterator>
-#include <thread>
 
 #include "src/common/telemetry.h"
 #include "src/core/wire.h"
 
 namespace rtct::core {
-
-namespace {
-Time steady_now() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 RealtimeSession::RealtimeSession(SiteId site, emu::IDeterministicGame& game, InputSource& input,
                                  net::PollableTransport& socket, RealtimeConfig cfg)
@@ -107,6 +98,14 @@ void RealtimeSession::flush_if_due() {
     socket_.send(wire_scratch_);
   }
   pump_spectators();
+}
+
+void RealtimeSession::wait_until(Time until) {
+  flush_if_due();
+  socket_.wait_readable(std::max<Dur>(std::min(until, flush_clock_.next()) - now(), 0));
+  ++wakeups_;
+  drain();
+  if (rollback_ != nullptr) rollback_->reconcile();
 }
 
 void RealtimeSession::pump_spectators() {
@@ -235,10 +234,7 @@ bool RealtimeSession::run(std::string* error) {
         if (error) *error = "stall timeout: peer or network failed";
         return false;
       }
-      flush_if_due();
-      const Dur until_flush = flush_clock_.next() - now();
-      socket_.wait_readable(std::min<Dur>(std::max<Dur>(until_flush, 0), milliseconds(5)));
-      drain();
+      wait_until(sync_start + cfg_.stall_timeout);
     }
     rec.stall = now() - sync_start;
     rec.input_ready_time = now();
@@ -260,25 +256,17 @@ bool RealtimeSession::run(std::string* error) {
     if (hook_) hook_(game_, rec);
     rec.compute = now() - rec.input_ready_time;
 
-    const Dur wait = pacer_.end_frame(now());  // step 10
-    rec.wait = wait;
+    const Time frame_end = now();
+    rec.wait = pacer_.end_frame(frame_end);  // step 10
     timeline_.add(rec);
 
-    // Sleep out the remainder, keeping the flush timer and receiver live.
-    // poll() only has millisecond resolution and tends to overshoot, so
-    // block for all but the last ~1.5 ms and spin-poll the rest — the
-    // standard netplay pacing trick to hold 60 FPS on a real kernel.
-    const Time resume_at = now() + wait;
-    while (now() < resume_at) {
-      flush_if_due();
-      const Dur remain = resume_at - now();
-      if (remain > milliseconds(3)) {
-        socket_.wait_readable(remain - milliseconds(2));
-      } else {
-        socket_.wait_readable(0);  // nonblocking readability check
-      }
-      drain();
-    }
+    // Sleep out the remainder, keeping the flush timer and receiver live:
+    // each wait blocks until the deadline, the next flush or a datagram,
+    // never spinning. A wake that lands late is charged to the next frame
+    // (FramePacer::note_wake), so timer slack does not slow the schedule.
+    const Time resume_at = frame_end + rec.wait;
+    while (now() < resume_at) wait_until(resume_at);
+    pacer_.note_wake(now());
     flush_if_due();
   }
 
@@ -339,11 +327,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
         if (error) *error = "stall timeout: peer or network failed";
         return false;
       }
-      flush_if_due();
-      const Dur until_flush = flush_clock_.next() - now();
-      socket_.wait_readable(std::min<Dur>(std::max<Dur>(until_flush, 0), milliseconds(5)));
-      drain();
-      rb.reconcile();
+      wait_until(sync_start + cfg_.stall_timeout);
     }
     rec.stall = now() - sync_start;
     rec.input_ready_time = now();
@@ -363,23 +347,14 @@ bool RealtimeSession::run_rollback(std::string* error) {
     if (hook_) hook_(game_, rec);
     rec.compute = now() - rec.input_ready_time;
 
-    const Dur wait = pacer_.end_frame(now());
-    rec.wait = wait;
+    const Time frame_end = now();
+    rec.wait = pacer_.end_frame(frame_end);
     timeline_.add(rec);
 
-    // Sleep out the remainder (same pacing trick as the lockstep loop).
-    const Time resume_at = now() + wait;
-    while (now() < resume_at) {
-      flush_if_due();
-      const Dur remain = resume_at - now();
-      if (remain > milliseconds(3)) {
-        socket_.wait_readable(remain - milliseconds(2));
-      } else {
-        socket_.wait_readable(0);  // nonblocking readability check
-      }
-      drain();
-      rb.reconcile();
-    }
+    // Sleep out the remainder exactly as the lockstep loop does.
+    const Time resume_at = frame_end + rec.wait;
+    while (now() < resume_at) wait_until(resume_at);
+    pacer_.note_wake(now());
     flush_if_due();
   }
 
@@ -391,10 +366,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
       if (error) *error = "rollback confirmation drain timed out";
       return false;
     }
-    flush_if_due();
-    socket_.wait_readable(milliseconds(2));
-    drain();
-    rb.reconcile();
+    wait_until(confirm_deadline);
     record_confirmed();
   }
   record_confirmed();
@@ -415,9 +387,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
   const Time lame_end = now() + cfg_.spectator_drain_grace;
   while (!rb.fully_acked() && now() < lame_end &&
          !stop_.load(std::memory_order_relaxed)) {
-    flush_if_due();
-    socket_.wait_readable(milliseconds(5));
-    drain();
+    wait_until(lame_end);
   }
   drain_spectators_post_game();
   return true;
@@ -435,6 +405,7 @@ void RealtimeSession::export_metrics(MetricsRegistry& reg) const {
   socket_.export_metrics(reg);
   reg.counter("session.flushes").set(flush_clock_.fires());
   reg.counter("session.flush_reanchors").set(flush_clock_.reanchors());
+  reg.counter("session.wakeups").set(wakeups_);
   reg.counter("session.dropped_unknown_sender").set(dropped_unknown_sender_);
   reg.gauge("spectator.host.count").set(static_cast<double>(spectator_ids_.size()));
   spectator_hub_.export_metrics(reg);

@@ -9,11 +9,11 @@
 // a relay::RelayEndpoint when the session goes through rtct_relayd — so
 // the frame loop is indifferent to the path.
 //
-// Single-threaded by design: the frame loop interleaves the send flush
-// timer and receive polling at its own co_await-free pace — on real
-// hardware the 20 ms flush and the frame loop live comfortably on one
-// thread, and examples/netplay_udp runs one RealtimeSession per thread to
-// get two sites in one process.
+// Single-threaded by design: every wait in the frame loop is one blocking
+// call that ends at the earliest of its deadline, the next send flush, or
+// an arriving datagram — on real hardware the 20 ms flush and the frame
+// loop live comfortably on one thread, and examples/netplay_udp runs one
+// RealtimeSession per thread to get two sites in one process.
 #pragma once
 
 #include <atomic>
@@ -108,8 +108,9 @@ class RealtimeSession {
   /// Snapshots every subsystem's state into the registry: "sync.*",
   /// "pacer.*", "session.*", "timeline.*", "net.udp.*", "spectator.hub.*"
   /// (plus the stable "spectator.host.*" aggregate names, fed from the
-  /// hub), "session.flushes"/"flush_reanchors". Call between frames (from
-  /// a frame hook) or after run().
+  /// hub), "session.flushes"/"flush_reanchors", and "session.wakeups" (the
+  /// frame loop's wait_readable returns). Call between frames (from a
+  /// frame hook) or after run().
   void export_metrics(MetricsRegistry& reg) const;
 
   /// True when the handshake settled on the rollback consistency mode
@@ -123,6 +124,10 @@ class RealtimeSession {
   [[nodiscard]] Time now() const;
   void flush_if_due();
   void drain();
+  /// One blocking wait of the frame loop: flushes if due, blocks until
+  /// `until`, the next flush or a readable datagram (whichever is first),
+  /// then drains and, in rollback mode, reconciles what arrived.
+  void wait_until(Time until);
   void pump_spectators();
   bool handshake(std::string* error);
   /// Once running, adopt the handshake's negotiated local lag (v2
@@ -156,6 +161,7 @@ class RealtimeSession {
   int digest_version_ = 1;  ///< locked in with the handshake outcome
   std::unique_ptr<RollbackSession> rollback_;  ///< non-null iff rollback mode
   FrameNo rb_recorded_ = 0;  ///< confirmed frames fed to replay/spectators
+  std::uint64_t wakeups_ = 0;  ///< wait_readable returns in wait_until
   std::atomic<bool> stop_{false};
 
   net::UdpSocket* spectator_socket_ = nullptr;

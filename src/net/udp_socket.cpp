@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -18,7 +19,7 @@ namespace rtct::net {
 namespace {
 constexpr std::size_t kMaxDatagram = 64 * 1024;
 
-const UdpSyscalls kRealSyscalls{::send, ::sendto, ::recv, ::recvfrom};
+const UdpSyscalls kRealSyscalls{::send, ::sendto, ::recv, ::recvfrom, ::ppoll};
 const UdpSyscalls* g_syscalls = &kRealSyscalls;
 
 /// Soft send failure: the datagram is lost but the socket is fine. ENOBUFS
@@ -103,6 +104,14 @@ void UdpSocket::fail(const std::string& what) {
   }
 }
 
+std::uint8_t* UdpSocket::rx_buffer() {
+  // Left uninitialised: recv writes only the bytes it returns, so a
+  // socket's buffer costs resident memory only as far as its largest
+  // datagram reached.
+  if (!rx_buf_) rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kMaxDatagram);
+  return rx_buf_.get();
+}
+
 bool UdpSocket::connect_peer(const std::string& ip, std::uint16_t port) {
   if (fd_ < 0) return false;
   sockaddr_in addr{};
@@ -151,19 +160,18 @@ void UdpSocket::send(std::span<const std::uint8_t> payload) {
 
 std::optional<Payload> UdpSocket::try_recv() {
   if (fd_ < 0) return std::nullopt;
-  Payload buf(kMaxDatagram);
+  std::uint8_t* const buf = rx_buffer();
   ssize_t n;
   do {
-    n = g_syscalls->recv(fd_, buf.data(), buf.size(), 0);
+    n = g_syscalls->recv(fd_, buf, kMaxDatagram, 0);
     if (n < 0 && errno == EINTR) ++eintr_retries_;
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (!soft_recv_errno(errno)) ++recv_errors_;
     return std::nullopt;
   }
-  buf.resize(static_cast<std::size_t>(n));
   ++received_;
-  return buf;
+  return Payload(buf, buf + n);
 }
 
 void UdpSocket::send_to(const UdpAddress& to, std::span<const std::uint8_t> payload) {
@@ -189,13 +197,13 @@ void UdpSocket::send_to(const UdpAddress& to, std::span<const std::uint8_t> payl
 
 std::optional<std::pair<Payload, UdpAddress>> UdpSocket::recv_from() {
   if (fd_ < 0) return std::nullopt;
-  Payload buf(kMaxDatagram);
+  std::uint8_t* const buf = rx_buffer();
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
   ssize_t n;
   do {
     len = sizeof(addr);
-    n = g_syscalls->recvfrom(fd_, buf.data(), buf.size(), 0,
+    n = g_syscalls->recvfrom(fd_, buf, kMaxDatagram, 0,
                              reinterpret_cast<sockaddr*>(&addr), &len);
     if (n < 0 && errno == EINTR) ++eintr_retries_;
   } while (n < 0 && errno == EINTR);
@@ -203,23 +211,29 @@ std::optional<std::pair<Payload, UdpAddress>> UdpSocket::recv_from() {
     if (!soft_recv_errno(errno)) ++recv_errors_;
     return std::nullopt;
   }
-  buf.resize(static_cast<std::size_t>(n));
   ++received_;
   UdpAddress from;
   from.ip = addr.sin_addr.s_addr;
   from.port = addr.sin_port;
-  return std::make_pair(std::move(buf), from);
+  return std::make_pair(Payload(buf, buf + n), from);
 }
 
 bool UdpSocket::wait_readable(Dur timeout) {
   if (fd_ < 0) return false;
+  // ppoll's timespec keeps the whole timeout: poll()'s milliseconds would
+  // turn every sub-millisecond wait into a non-blocking check. Retries
+  // after EINTR wait out only what is left of the original deadline, so a
+  // stream of signals cannot hold the caller past it.
+  const Time deadline = steady_now() + std::max<Dur>(timeout, 0);
   pollfd pfd{fd_, POLLIN, 0};
-  const int timeout_ms = static_cast<int>(timeout / kMillisecond);
   int r;
-  do {
-    r = ::poll(&pfd, 1, timeout_ms < 0 ? 0 : timeout_ms);
-    if (r < 0 && errno == EINTR) ++eintr_retries_;
-  } while (r < 0 && errno == EINTR);
+  for (;;) {
+    const Dur left = std::max<Dur>(deadline - steady_now(), 0);
+    const timespec ts{static_cast<time_t>(left / kSecond), static_cast<long>(left % kSecond)};
+    r = g_syscalls->ppoll(&pfd, 1, &ts, nullptr);
+    if (r >= 0 || errno != EINTR) break;
+    ++eintr_retries_;
+  }
   return r > 0 && (pfd.revents & POLLIN) != 0;
 }
 

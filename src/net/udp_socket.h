@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -61,15 +62,20 @@ class UdpSocket final : public PollableTransport {
   bool set_recv_buffer(int bytes);
 
   void send(std::span<const std::uint8_t> payload) override;
+  /// Next datagram, or nullopt. Receives land in one reusable 64 KiB
+  /// buffer per socket; the returned Payload is a copy sized to the
+  /// datagram, so a poll that finds nothing allocates nothing.
   std::optional<Payload> try_recv() override;
 
   /// Unconnected mode: datagram to an explicit peer.
   void send_to(const UdpAddress& to, std::span<const std::uint8_t> payload);
-  /// Unconnected mode: next datagram + its sender, or nullopt.
+  /// Unconnected mode: next datagram + its sender, or nullopt (same
+  /// buffer reuse as try_recv).
   std::optional<std::pair<Payload, UdpAddress>> recv_from();
 
-  /// Blocks up to `timeout` for the socket to become readable.
-  /// Returns true if readable.
+  /// Blocks up to `timeout` (nanosecond resolution) for the socket to
+  /// become readable. Returns true if readable. A signal does not extend
+  /// the wait: an EINTR retry waits only for what is left of `timeout`.
   bool wait_readable(Dur timeout) override;
 
   [[nodiscard]] bool valid() const override { return fd_ >= 0; }
@@ -95,6 +101,9 @@ class UdpSocket final : public PollableTransport {
 
  private:
   void fail(const std::string& what);
+  std::uint8_t* rx_buffer();
+
+  std::unique_ptr<std::uint8_t[]> rx_buf_;  ///< allocated on first receive
 
   int fd_ = -1;
   std::uint16_t local_port_ = 0;

@@ -7,7 +7,10 @@
 // coverage (tests/udp_fault_test.cpp).
 #pragma once
 
+#include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <sys/types.h>
 
 namespace rtct::net {
@@ -19,6 +22,7 @@ struct UdpSyscalls {
   ssize_t (*recv)(int fd, void* buf, size_t len, int flags);
   ssize_t (*recvfrom)(int fd, void* buf, size_t len, int flags, sockaddr* addr,
                       socklen_t* addrlen);
+  int (*ppoll)(pollfd* fds, nfds_t nfds, const timespec* timeout, const sigset_t* sigmask);
 };
 
 /// The table UdpSocket routes through (defaults to the real syscalls).

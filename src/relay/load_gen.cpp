@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -15,12 +14,6 @@
 namespace rtct::relay {
 
 namespace {
-
-Time steady_now() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Blocking lobby round-trip on a shared (multi-session) socket. Unlike
 /// RelayLobby this must tolerate relayed DATA frames arriving interleaved

@@ -6,19 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <random>
 
 namespace rtct::relay {
 
 namespace {
-
-Time steady_now() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr int kMaxShards = 16;
 constexpr int kMaxMembersCap = 8;

@@ -12,7 +12,8 @@
 //    frames between session members;
 //  * the forward path re-sends the received datagram verbatim — the conn
 //    id is already framed in, so dispatch is a header peek, a hash lookup
-//    and a sendto per fan-out target, with zero per-datagram allocation;
+//    and a sendto per fan-out target; the only per-datagram allocation is
+//    the datagram-sized copy UdpSocket::recv_from returns;
 //  * idle sessions (no lobby or data activity for `idle_timeout`) are
 //    evicted on a periodic sweep; members get an EVICT_NOTICE, and later
 //    DATA for a dead conn id is answered with the same notice so a client

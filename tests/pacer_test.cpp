@@ -68,6 +68,52 @@ TEST(PacerAlg3Test, HugeOverrunAccumulatesAcrossFrames) {
   EXPECT_EQ(p.adjust_time_delta(), (tpf - milliseconds(100)) + tpf - milliseconds(1));
 }
 
+// ---- Late wakes (wall-clock frame loop) ---------------------------------------
+
+TEST(PacerWakeTest, LateWakeShortensTheNextFramesWait) {
+  FramePacer p(0, cfg60());
+  const Dur tpf = cfg60().frame_period();
+  const Dur late = microseconds(60);
+  p.begin_frame(0, 0, no_obs());
+  EXPECT_EQ(p.end_frame(milliseconds(4)), tpf - milliseconds(4));
+
+  // The wait should have ended at tpf; the wake lands 60 µs after it.
+  p.note_wake(tpf + late);
+  EXPECT_EQ(p.adjust_time_delta(), -late);
+  p.note_wake(tpf + 2 * late);  // one wait, one charge
+  EXPECT_EQ(p.adjust_time_delta(), -late);
+
+  // Frame 1 starts late but still ends on the 2·tpf grid line.
+  p.begin_frame(tpf + late, 1, no_obs());
+  EXPECT_EQ(p.current_frame_start(), tpf + late);  // the actual start
+  EXPECT_EQ(p.end_frame(tpf + late + milliseconds(4)), tpf - milliseconds(4) - late);
+  EXPECT_EQ(p.adjust_time_delta(), 0);
+}
+
+TEST(PacerWakeTest, OverrunFrameIsNotChargedTwice) {
+  FramePacer p(0, cfg60());
+  const Dur tpf = cfg60().frame_period();
+  p.begin_frame(0, 0, no_obs());
+  EXPECT_EQ(p.end_frame(milliseconds(30)), 0);
+  const Dur debt = tpf - milliseconds(30);
+  EXPECT_EQ(p.adjust_time_delta(), debt);
+  // The overrun granted no wait, so nothing can be late: the deficit
+  // end_frame carried is the whole charge.
+  p.note_wake(milliseconds(31));
+  EXPECT_EQ(p.adjust_time_delta(), debt);
+}
+
+TEST(PacerWakeTest, OnTimeWakeLeavesTheDeltaAtZero) {
+  FramePacer p(0, cfg60());
+  const Dur tpf = cfg60().frame_period();
+  p.begin_frame(0, 0, no_obs());
+  EXPECT_EQ(p.end_frame(milliseconds(4)), tpf - milliseconds(4));
+  p.note_wake(tpf);
+  EXPECT_EQ(p.adjust_time_delta(), 0);
+  p.begin_frame(tpf, 1, no_obs());
+  EXPECT_EQ(p.end_frame(tpf + milliseconds(4)), tpf - milliseconds(4));
+}
+
 TEST(PacerNaiveTest, NaivePolicyNeverCompensates) {
   FramePacer p(0, cfg60(), PacingPolicy::kNaive);
   p.begin_frame(0, 0, no_obs());

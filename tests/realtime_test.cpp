@@ -94,6 +94,70 @@ TEST(RealtimeTest, RollbackModeNegotiatesOverLoopback) {
   EXPECT_EQ(m0->state_hash(), m1->state_hash());
 }
 
+// Counts the frame loop's blocking waits from outside the session.
+class CountingTransport final : public net::PollableTransport {
+ public:
+  explicit CountingTransport(net::PollableTransport& inner) : inner_(inner) {}
+  void send(std::span<const std::uint8_t> payload) override { inner_.send(payload); }
+  std::optional<net::Payload> try_recv() override { return inner_.try_recv(); }
+  bool wait_readable(Dur timeout) override {
+    ++waits;
+    return inner_.wait_readable(timeout);
+  }
+  [[nodiscard]] bool valid() const override { return inner_.valid(); }
+  [[nodiscard]] const std::string& last_error() const override { return inner_.last_error(); }
+  void export_metrics(MetricsRegistry& reg) const override { inner_.export_metrics(reg); }
+
+  std::uint64_t waits = 0;
+
+ private:
+  net::PollableTransport& inner_;
+};
+
+// Wake-up budget: the frame loop blocks until its next real deadline
+// (frame end, send flush or datagram) instead of spin-polling the last
+// milliseconds of every frame — about 850 wait_readable calls per frame
+// before, a handful now. The budget leaves room for a slow CI scheduler.
+void expect_wakeup_budget(bool rollback) {
+  constexpr int kFrames = 180;
+  constexpr std::uint64_t kMaxWaitsPerFrame = 20;
+  auto m0 = games::make_machine("torture");
+  auto m1 = games::make_machine("torture");
+  Pair sockets;
+  CountingTransport t0(sockets.s0), t1(sockets.s1);
+  MasherInput p0(11), p1(12);
+
+  RealtimeConfig cfg;
+  cfg.frames = kFrames;
+  cfg.sync.rollback = rollback;
+  RealtimeSession a(0, *m0, p0, t0, cfg);
+  RealtimeSession b(1, *m1, p1, t1, cfg);
+
+  std::string e0, e1;
+  bool ok1 = false;
+  std::thread t([&] { ok1 = b.run(&e1); });
+  const bool ok0 = a.run(&e0);
+  t.join();
+
+  ASSERT_TRUE(ok0) << e0;
+  ASSERT_TRUE(ok1) << e1;
+  EXPECT_EQ(a.rollback_mode(), rollback);
+  EXPECT_EQ(first_divergence(a.timeline(), b.timeline()), -1);
+  EXPECT_EQ(m0->state_hash(), m1->state_hash());
+  for (const auto* site : {&t0, &t1}) {
+    EXPECT_LE(site->waits, kMaxWaitsPerFrame * kFrames) << "frame loop is spinning";
+  }
+  // session.wakeups counts the frame loop's share of those waits.
+  MetricsRegistry reg;
+  a.export_metrics(reg);
+  EXPECT_GT(reg.value("session.wakeups"), 0);
+  EXPECT_LE(reg.value("session.wakeups"), static_cast<double>(t0.waits));
+}
+
+TEST(RealtimeTest, LockstepFrameLoopBlocksInsteadOfSpinning) { expect_wakeup_budget(false); }
+
+TEST(RealtimeTest, RollbackFrameLoopBlocksInsteadOfSpinning) { expect_wakeup_budget(true); }
+
 TEST(RealtimeTest, MismatchedRomsRefuseToPair) {
   auto m0 = games::make_machine("pong");
   auto m1 = games::make_machine("duel");

@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
       session.export_metrics(reg);
       const auto val = [&reg](const char* name) { return reg.value(name).value_or(0); };
       std::printf("[stats] f=%-6lld ft=%6.2fms stall=%5.2fms rtt=%6.2fms "
-                  "tx=%llu rx=%llu retx=%llu overruns=%llu spect=%.0f\n",
+                  "tx=%llu rx=%llu retx=%llu overruns=%llu wake/f=%.1f spect=%.0f\n",
                   static_cast<long long>(r.frame),
                   reg.histogram("timeline.frame_time_ms").mean(),
                   reg.histogram("timeline.stall_ms").mean(), val("sync.rtt_ms"),
@@ -294,6 +294,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(val("net.udp.datagrams_received")),
                   static_cast<unsigned long long>(val("sync.inputs_retransmitted")),
                   static_cast<unsigned long long>(val("pacer.overruns")),
+                  val("session.wakeups") / static_cast<double>(r.frame + 1),
                   val("spectator.host.joined"));
       std::fflush(stdout);
     });

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -22,14 +21,6 @@
 #include "src/emu/rom_io.h"
 #include "src/cores/registry.h"
 #include "src/net/udp_socket.h"
-
-namespace {
-rtct::Time steady_now() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rtct;
