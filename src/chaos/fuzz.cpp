@@ -678,7 +678,7 @@ std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations) {
     peer.submit_local(local_frame, static_cast<InputWord>(rng.next_u64()));
     ++local_frame;
     while (peer.ready()) peer.pop();
-    (void)peer.make_message(now);
+    (void)peer.make_message(1, now);
     if (host.wants_snapshot()) {
       static constexpr std::uint8_t kTinyState[] = {0x01, 0x02};
       host.provide_snapshot(static_cast<FrameNo>(i), kTinyState);

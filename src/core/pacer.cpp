@@ -8,20 +8,17 @@ void FramePacer::begin_frame(Time now, FrameNo current_frame, const SyncPeer::Re
   frame_start_ = now;  // line 2
 
   Dur sync_adjust = 0;
-  // Lines 5-8 (slave only). Rate sync is additionally gated on a real RTT
-  // sample: before one exists, `obs.rtt` would read 0 and `master_sent`
-  // below would be overestimated by RTT/2, so the slave would chase a
-  // master estimate that is half a round trip stale during startup.
-  if (policy_ == PacingPolicy::kFull && my_site_ != kMasterSite && obs.valid &&
-      obs.rtt_valid) {
+  // Lines 5-8 (slaves only: the peer reports no observation on the
+  // master). Rate sync is additionally gated on a real RTT sample: before
+  // one exists, `obs.rtt` would read 0 and `master_sent` below would be
+  // overestimated by RTT/2, so the slave would chase a master estimate
+  // that is half a round trip stale during startup.
+  if (policy_ == PacingPolicy::kFull && obs.valid && obs.rtt_valid) {
     const Dur tpf = cfg_.frame_period();
-    // MasterFrame = LastRcvFrame[0] - BufFrame: the received frame number
-    // already includes the local-lag offset (line 6).
-    const FrameNo master_frame = obs.last_rcv_frame - cfg_.buf_frames;
     // t = MasterRcvTime - RTT/2 estimates when the master *sent* that
     // frame's input; extrapolate its frame at local-now and diff (line 7).
     const Time master_sent = obs.rcv_time - obs.rtt / 2;
-    const Dur raw = (current_frame - master_frame) * tpf - (now - master_sent);
+    const Dur raw = (current_frame - obs.master_frame) * tpf - (now - master_sent);
     // Smoothed application (see SyncConfig::rate_sync_gain): ignore noise
     // inside the deadband, correct a fraction of real skew per frame.
     if (raw > cfg_.rate_sync_deadband || raw < -cfg_.rate_sync_deadband) {

@@ -10,12 +10,15 @@
 //    clock the wait itself can end late (timer slack, scheduling), and
 //    note_wake() carries that lateness forward the same way.
 //
-//  * Master/slave rate sync (Algorithm 4): only the slave (site 1)
-//    estimates the master's current frame — from the freshest
-//    LastRcvFrame[0], its arrival time, and RTT/2 — and folds the frame
-//    difference into AdjustTimeDelta. Whichever site started earlier, the
-//    *slave* absorbs the skew; without this, the earlier site oscillates
-//    (shown by bench/ablation_pacing).
+//  * Master/slave rate sync (Algorithm 4): only a slave estimates the
+//    master's current frame — from the freshest MasterFrame, its arrival
+//    time, and RTT/2 — and folds the frame difference into
+//    AdjustTimeDelta. Whichever site started earlier, the *slave* absorbs
+//    the skew; without this, the earlier site oscillates (shown by
+//    bench/ablation_pacing). The SyncPeer decides both "who is a slave"
+//    and "which lag to subtract": its RemoteObs is valid only on slaves
+//    and carries MasterFrame with its own lag already removed, so the
+//    pacer needs neither the site id nor BufFrame.
 #pragma once
 
 #include "src/common/time.h"
@@ -35,15 +38,11 @@ enum class PacingPolicy { kFull, kCompensateOnly, kNaive };
 
 class FramePacer {
  public:
-  FramePacer(SiteId my_site, SyncConfig cfg, PacingPolicy policy = PacingPolicy::kFull)
-      : my_site_(my_site), cfg_(cfg), policy_(policy) {}
-
-  /// Adopts a handshake-negotiated local-lag depth (v2 adaptive lag); must
-  /// mirror the SyncPeer it paces, before frame 0.
-  void set_buf_frames(int buf_frames) { cfg_.buf_frames = buf_frames; }
+  explicit FramePacer(SyncConfig cfg, PacingPolicy policy = PacingPolicy::kFull)
+      : cfg_(cfg), policy_(policy) {}
 
   /// Algorithm 4 (BeginFrameTiming). `current_frame` is Algorithm 1's
-  /// Frame; `obs` is the slave's freshest view of the master (ignored on
+  /// Frame; `obs` is the slave's freshest view of the master (invalid on
   /// the master, where SyncAdjustTimeDelta is defined to be zero).
   void begin_frame(Time now, FrameNo current_frame, const SyncPeer::RemoteObs& obs);
 
@@ -76,7 +75,6 @@ class FramePacer {
   void export_metrics(MetricsRegistry& reg) const;
 
  private:
-  SiteId my_site_;
   SyncConfig cfg_;
   PacingPolicy policy_;
   Time frame_start_ = 0;      ///< CurrFrameStart

@@ -16,7 +16,7 @@ RealtimeSession::RealtimeSession(SiteId site, emu::IDeterministicGame& game, Inp
       socket_(socket),
       cfg_(cfg),
       peer_(site, cfg.sync),
-      pacer_(site, cfg.sync, cfg.pacing),
+      pacer_(cfg.sync, cfg.pacing),
       session_(site, game.content_id(), cfg.sync),
       replay_(game.content_id(), cfg.sync),
       flush_clock_(cfg.sync.send_flush_period),
@@ -38,11 +38,7 @@ void RealtimeSession::drain() {
       // layer re-delivers anything dropped here).
       if (session_.running()) {
         apply_negotiated_lag();
-        if (rollback_ != nullptr) {
-          rollback_->ingest(*sync, now());
-        } else {
-          peer_.ingest(*sync, now());
-        }
+        peer_.ingest(*sync, now());
       }
     } else {
       session_.ingest(*msg, now());
@@ -62,28 +58,30 @@ void RealtimeSession::apply_negotiated_lag() {
   if (lag_applied_) return;
   lag_applied_ = true;
   digest_version_ = session_.digest_version();
-  if (session_.rollback_mode()) {
-    // The handshake settled on rollback: build the speculation engine with
-    // the *negotiated* parameters (the master's input delay travels in
-    // START) and snapshot the pre-frame-0 state as its genesis.
-    SyncConfig eff = cfg_.sync;
-    eff.digest_v2 = digest_version_ == 2;
-    eff.rollback_input_delay = session_.rollback_delay();
-    rollback_ = std::make_unique<RollbackSession>(site_, game_, eff);
-    replay_ = Replay(game_.content_id(), eff, game_.content_name());
-    return;
-  }
-  const int buf = session_.effective_buf_frames();
-  if (buf != cfg_.sync.buf_frames) {
-    peer_.set_buf_frames(buf);
-    pacer_.set_buf_frames(buf);
-  }
-  // Rebuild the recording with the *effective* config regardless: the
+  // The recording is rebuilt with the *effective* config either way: the
   // negotiated digest version stamps the replay's keyframe digests.
   SyncConfig eff = cfg_.sync;
-  eff.buf_frames = buf;
   eff.digest_v2 = digest_version_ == 2;
+  if (session_.rollback_mode()) {
+    // The handshake settled on rollback: build the speculation engine over
+    // the peer with the *negotiated* input delay (the master's travels in
+    // START) and snapshot the pre-frame-0 state as its genesis.
+    eff.rollback_input_delay = session_.rollback_delay();
+    rollback_ = std::make_unique<RollbackSession>(peer_, game_, eff);
+  } else {
+    eff.buf_frames = session_.effective_buf_frames();
+    peer_.set_buf_frames(eff.buf_frames);
+  }
   replay_ = Replay(game_.content_id(), eff, game_.content_name());
+}
+
+bool RealtimeSession::desynced(std::string* error) const {
+  if (!peer_.desync_detected()) return false;
+  if (error) {
+    *error = "desync detected at frame " + std::to_string(peer_.desync_frame()) +
+             ": replicas diverged (non-deterministic game?)";
+  }
+  return true;
 }
 
 void RealtimeSession::flush_if_due() {
@@ -92,8 +90,7 @@ void RealtimeSession::flush_if_due() {
   // latency every period, which under-delivered the redundancy tail.
   const Time t = now();
   if (!flush_clock_.due(t)) return;
-  if (auto msg = rollback_ != nullptr ? rollback_->make_message(t)
-                                      : peer_.make_message(t)) {
+  if (auto msg = peer_.make_message(1 - site_, t)) {
     encode_message_into(Message{*msg}, wire_scratch_);
     socket_.send(wire_scratch_);
   }
@@ -246,13 +243,7 @@ bool RealtimeSession::run(std::string* error) {
     spectator_hub_.on_frame(frame, merged);
     rec.state_hash = game_.state_digest(digest_version_);
     peer_.note_state_hash(frame, rec.state_hash);
-    if (peer_.desync_detected()) {
-      if (error) {
-        *error = "desync detected at frame " + std::to_string(peer_.desync_frame()) +
-                 ": replicas diverged (non-deterministic game?)";
-      }
-      return false;
-    }
+    if (desynced(error)) return false;
     if (hook_) hook_(game_, rec);
     rec.compute = now() - rec.input_ready_time;
 
@@ -311,7 +302,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
 
     FrameRecord rec;
     rec.frame = frame;
-    pacer_.begin_frame(now(), frame, rb.remote_obs());
+    pacer_.begin_frame(now(), frame, peer_.remote_obs());
     rec.begin_time = pacer_.current_frame_start();
 
     const InputWord local = site_ == 0 ? make_input(input_.input_for_frame(frame), 0)
@@ -337,13 +328,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
     // digest after the confirmation drain below.
     rec.state_hash = out.digest;
     record_confirmed();
-    if (rb.desync_detected()) {
-      if (error) {
-        *error = "desync detected at frame " + std::to_string(rb.desync_frame()) +
-                 ": replicas diverged (non-deterministic game?)";
-      }
-      return false;
-    }
+    if (desynced(error)) return false;
     if (hook_) hook_(game_, rec);
     rec.compute = now() - rec.input_ready_time;
 
@@ -370,13 +355,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
     record_confirmed();
   }
   record_confirmed();
-  if (rb.desync_detected()) {
-    if (error) {
-      *error = "desync detected at frame " + std::to_string(rb.desync_frame()) +
-               ": replicas diverged (non-deterministic game?)";
-    }
-    return false;
-  }
+  if (desynced(error)) return false;
   // Backfill the timeline with confirmed digests: archived timelines (and
   // rtct_trace comparisons) always describe the canonical history.
   for (std::size_t i = 0; i < timeline_.size(); ++i) {
@@ -385,7 +364,7 @@ bool RealtimeSession::run_rollback(std::string* error) {
   // Lame duck: the peer cannot finish confirming its own tail without our
   // inputs — keep flushing until it acked everything (bounded).
   const Time lame_end = now() + cfg_.spectator_drain_grace;
-  while (!rb.fully_acked() && now() < lame_end &&
+  while (!peer_.fully_acked() && now() < lame_end &&
          !stop_.load(std::memory_order_relaxed)) {
     wait_until(lame_end);
   }
@@ -394,11 +373,8 @@ bool RealtimeSession::run_rollback(std::string* error) {
 }
 
 void RealtimeSession::export_metrics(MetricsRegistry& reg) const {
-  if (rollback_ != nullptr) {
-    rollback_->export_metrics(reg);
-  } else {
-    peer_.export_metrics(reg);
-  }
+  peer_.export_metrics(reg);
+  if (rollback_ != nullptr) rollback_->export_metrics(reg);
   pacer_.export_metrics(reg);
   session_.export_metrics(reg);
   timeline_.export_metrics(reg);

@@ -76,10 +76,8 @@ class RealtimeSession {
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] const FrameTimeline& timeline() const { return timeline_; }
-  [[nodiscard]] const SyncPeerStats& stats() const {
-    return rollback_ ? rollback_->stats() : peer_.stats();
-  }
-  [[nodiscard]] Dur rtt() const { return rollback_ ? rollback_->rtt() : peer_.rtt(); }
+  [[nodiscard]] const SyncPeerStats& stats() const { return peer_.stats(); }
+  [[nodiscard]] Dur rtt() const { return peer_.rtt(1 - site_); }
 
   /// The session's merged-input recording (replayable on a fresh machine
   /// of the same ROM; identical on both sites of a match).
@@ -131,9 +129,11 @@ class RealtimeSession {
   void pump_spectators();
   bool handshake(std::string* error);
   /// Once running, adopt the handshake's negotiated local lag (v2
-  /// adaptive mode) or construct the RollbackSession (v3 rollback mode)
-  /// before the first sync ingest. Idempotent.
+  /// adaptive mode) or construct the RollbackSession over the peer (v3
+  /// rollback mode) before the first sync ingest. Idempotent.
   void apply_negotiated_lag();
+  /// True (with `error` filled) once the peer flagged a desync.
+  bool desynced(std::string* error) const;
   /// The frame loop for the rollback consistency mode (run() dispatches
   /// here when the handshake settled on it).
   bool run_rollback(std::string* error);
@@ -159,7 +159,7 @@ class RealtimeSession {
   FlushClock flush_clock_;  ///< catch-up scheduled send-flush cadence
   bool lag_applied_ = false;
   int digest_version_ = 1;  ///< locked in with the handshake outcome
-  std::unique_ptr<RollbackSession> rollback_;  ///< non-null iff rollback mode
+  std::unique_ptr<RollbackSession> rollback_;  ///< non-null iff rollback mode; borrows peer_
   FrameNo rb_recorded_ = 0;  ///< confirmed frames fed to replay/spectators
   std::uint64_t wakeups_ = 0;  ///< wait_readable returns in wait_until
   std::atomic<bool> stop_{false};

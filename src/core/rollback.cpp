@@ -6,37 +6,28 @@
 
 namespace rtct::core {
 
-RollbackSession::RollbackSession(SiteId my_site, emu::IDeterministicGame& game,
-                                 SyncConfig cfg)
-    : my_site_(my_site),
-      rm_site_(my_site == 0 ? SiteId{1} : SiteId{0}),
+RollbackSession::RollbackSession(SyncPeer& peer, emu::IDeterministicGame& game, SyncConfig cfg)
+    : peer_(peer),
       game_(game),
       cfg_(cfg),
       delay_(std::max(0, cfg.rollback_input_delay)),
       // The ring must hold the restore target plus the whole speculation
       // span; anything smaller than delay + a few frames of slack would
       // stall immediately, so clamp rather than trust the config blindly.
-      window_(std::max(cfg.rollback_window, delay_ + 4)),
-      ibuf_(2) {
+      window_(std::max(cfg.rollback_window, delay_ + 4)) {
   ring_.resize(static_cast<std::size_t>(window_));
   game_.save_state_into(genesis_);
-  // The paper's all-zero initialization: with an input delay of d, frames
-  // [0, d) run with empty partial inputs at *both* sites, so both are known
-  // in advance and neither side ever sends them.
-  for (FrameNo f = 0; f < delay_; ++f) {
-    ibuf_.put(my_site_, f, 0);
-    ibuf_.put(rm_site_, f, 0);
-  }
-  local_top_ = delay_ - 1;
-  remote_contig_ = delay_ - 1;
-  last_ack_frame_ = delay_ - 1;  // the peer pre-filled the same zeros
+  // The input delay is the peer's lag: frames [0, d) run with the paper's
+  // empty partial inputs at *every* site, so they are known in advance and
+  // nobody ever sends them. A peer that already moved cannot adopt it:
+  // fail the session loudly rather than run with mismatched lags.
+  if (!peer_.set_buf_frames(delay_)) peer_.flag_desync(0);
 }
 
 void RollbackSession::execute_frame(FrameNo f) {
-  const InputWord local = ibuf_.partial(my_site_, f);
-  const bool have_remote = ibuf_.has(rm_site_, f);
-  const InputWord remote = have_remote ? remote_partial(f) : predicted_remote(f);
-  const InputWord merged = static_cast<InputWord>(local | remote);
+  const std::optional<InputWord> actual = peer_.remote_input(f);
+  const InputWord remote = actual ? *actual : predicted_remote(f);
+  const auto merged = static_cast<InputWord>(peer_.local_input(f) | remote);
   game_.step_frame(merged);
   Slot& s = slot(f);
   s.frame = f;
@@ -44,13 +35,12 @@ void RollbackSession::execute_frame(FrameNo f) {
   s.digest = game_.state_digest(cfg_.digest_version());
   s.merged = merged;
   s.remote_used = remote;
-  s.remote_actual = have_remote;
+  s.remote_actual = actual.has_value();
 }
 
 RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_input) {
   const FrameNo f = executed_;
-  ibuf_.put(my_site_, f + delay_, site_bits(local_input, my_site_));
-  local_top_ = f + delay_;
+  peer_.submit_local(f, local_input);
   reconcile();
   execute_frame(f);
   ++executed_;
@@ -68,8 +58,9 @@ void RollbackSession::reconcile() {
   for (FrameNo f = confirmed_; f < executed_; ++f) {
     Slot& s = slot(f);
     if (s.remote_actual) continue;
-    if (!ibuf_.has(rm_site_, f)) continue;
-    if (remote_partial(f) == s.remote_used) {
+    const std::optional<InputWord> actual = peer_.remote_input(f);
+    if (!actual) continue;
+    if (*actual == s.remote_used) {
       // Prediction was right: the frame executed with the real input and
       // stands as-is (the common case — inputs are runs of equal words).
       s.remote_actual = true;
@@ -99,145 +90,27 @@ void RollbackSession::rollback_and_resim(FrameNo from) {
 void RollbackSession::restore_state_after(FrameNo f) {
   const bool ok =
       f < 0 ? game_.load_state(genesis_) : game_.load_state(slot(f).state);
-  if (!ok && desync_frame_ < 0) {
-    // A snapshot the machine itself produced refused to load back — state
-    // corruption. Surface it through the desync channel so drivers abort
-    // the session instead of silently diverging.
-    desync_frame_ = f < 0 ? 0 : f;
-  }
+  // A snapshot the machine itself produced refused to load back — state
+  // corruption. Surface it through the desync channel so drivers abort
+  // the session instead of silently diverging.
+  if (!ok) peer_.flag_desync(f < 0 ? 0 : f);
 }
 
 void RollbackSession::advance_confirmed() {
-  bool advanced = false;
+  // A confirmed frame executed with every site's actual input, so the
+  // peer holds all of them: pop it (which also lets the peer reclaim the
+  // entry once acked) and report its digest to the hash tripwire.
   while (confirmed_ < executed_ && slot(confirmed_).remote_actual) {
     const Slot& s = slot(confirmed_);
     confirmed_digests_.push_back(s.digest);
     confirmed_inputs_.push_back(s.merged);
-    if (cfg_.hash_interval > 0 &&
-        confirmed_ % cfg_.hash_interval == cfg_.hash_interval - 1) {
-      latest_own_ = HashRecord{confirmed_, s.digest};
-    }
-    if (pending_remote_.frame == confirmed_ && desync_frame_ < 0 &&
-        pending_remote_.hash != s.digest) {
-      desync_frame_ = confirmed_;
-    }
+    peer_.pop();
+    peer_.note_state_hash(confirmed_, s.digest);
     ++confirmed_;
-    advanced = true;
   }
-  if (advanced) {
-    // Reclaim delivered entries, but keep every local input the peer has
-    // not yet acked — it is still subject to go-back-N resend.
-    ibuf_.trim_below(std::min(confirmed_, last_ack_frame_ + 1));
-  }
-}
-
-std::optional<SyncMsg> RollbackSession::make_message(Time now) {
-  const FrameNo first = last_ack_frame_ + 1;
-  const bool inputs_pending = local_top_ >= first;
-  const bool ack_news = remote_contig_ > ack_sent_;
-  const bool hash_news = latest_own_.frame > hash_sent_;
-  if (!inputs_pending && !ack_news && !hash_news) return std::nullopt;
-
-  SyncMsg m;
-  m.site = my_site_;
-  m.ack_frame = remote_contig_;
-  m.first_frame = first;
-  if (inputs_pending) {
-    const FrameNo last = std::min(
-        local_top_, first + static_cast<FrameNo>(cfg_.max_inputs_per_message) - 1);
-    m.inputs.reserve(static_cast<std::size_t>(last - first + 1));
-    for (FrameNo f = first; f <= last; ++f) {
-      m.inputs.push_back(ibuf_.partial(my_site_, f));
-    }
-    stats_.inputs_sent += m.inputs.size();
-    if (highest_sent_ >= first) {
-      stats_.inputs_retransmitted +=
-          static_cast<std::uint64_t>(std::min(last, highest_sent_) - first + 1);
-    }
-    highest_sent_ = std::max(highest_sent_, last);
-  }
-  m.send_time = now;
-  if (last_peer_send_time_ >= 0) {
-    m.echo_time = last_peer_send_time_;
-    m.echo_hold = now - last_peer_recv_time_;
-  }
-  if (latest_own_.frame >= 0) {
-    m.hash_frame = latest_own_.frame;
-    m.state_hash = latest_own_.hash;
-    hash_sent_ = latest_own_.frame;
-  }
-  ack_sent_ = std::max(ack_sent_, remote_contig_);
-  ++stats_.messages_made;
-  return m;
-}
-
-void RollbackSession::ingest(const SyncMsg& msg, Time recv_time) {
-  if (msg.site == my_site_) {
-    ++stats_.stale_messages;
-    return;
-  }
-  ++stats_.messages_ingested;
-
-  // RTT estimation: echoed timestamp minus the peer's hold time.
-  if (msg.echo_time >= 0) {
-    const Dur sample = recv_time - msg.echo_time - msg.echo_hold;
-    if (sample >= 0) {
-      rtt_.sample(sample);
-      ++stats_.rtt_samples;
-    }
-  }
-  if (msg.send_time > last_peer_send_time_) {
-    last_peer_send_time_ = msg.send_time;
-    last_peer_recv_time_ = recv_time;
-  }
-
-  last_ack_frame_ = std::max(last_ack_frame_, msg.ack_frame);
-
-  for (std::size_t i = 0; i < msg.inputs.size(); ++i) {
-    const FrameNo f = msg.first_frame + static_cast<FrameNo>(i);
-    if (!ibuf_.put(rm_site_, f, site_bits(msg.inputs[i], rm_site_))) {
-      ++stats_.duplicate_inputs_rcvd;
-    }
-  }
-  bool advanced = false;
-  while (ibuf_.has(rm_site_, remote_contig_ + 1)) {
-    ++remote_contig_;
-    advanced = true;
-  }
-  if (advanced) {
-    seen_remote_ = true;
-    remote_advance_time_ = recv_time;
-  }
-
-  if (msg.hash_frame >= 0) check_remote_hash(msg.hash_frame, msg.state_hash);
-}
-
-void RollbackSession::check_remote_hash(FrameNo frame, std::uint64_t hash) {
-  if (desync_frame_ >= 0) return;
-  if (frame < confirmed_) {
-    if (frame >= 0 && frame < static_cast<FrameNo>(confirmed_digests_.size()) &&
-        confirmed_digests_[static_cast<std::size_t>(frame)] != hash) {
-      desync_frame_ = frame;
-    }
-  } else if (frame > pending_remote_.frame) {
-    // Not confirmed yet: park it (newest wins — a stale parked hash for a
-    // frame we already compared is harmless) and compare on confirmation.
-    pending_remote_ = HashRecord{frame, hash};
-  }
-}
-
-SyncPeer::RemoteObs RollbackSession::remote_obs() const {
-  SyncPeer::RemoteObs o;
-  o.valid = seen_remote_;
-  o.last_rcv_frame = remote_contig_;
-  o.rcv_time = remote_advance_time_;
-  o.rtt = rtt_.srtt();
-  o.rtt_valid = rtt_.has_sample();
-  return o;
 }
 
 void RollbackSession::export_metrics(MetricsRegistry& reg) const {
-  export_sync_stats(reg, stats_);
   reg.counter("rollback.frames_executed").set(rstats_.frames_executed);
   reg.counter("rollback.frames_resimulated").set(rstats_.frames_resimulated);
   reg.counter("rollback.rollbacks").set(rstats_.rollbacks);

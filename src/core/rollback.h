@@ -27,25 +27,25 @@
 // the ring: execution may run at most `rollback_window - 2` frames past
 // the confirmed watermark, which keeps the restore target resident.
 //
-// Wire compatibility: RollbackSession speaks plain SYNC messages — the
-// same cumulative-ack + go-back-N input windows as SyncPeer, the same RTT
-// probe, the same hash tripwire. Only the *consumption policy* differs,
-// which is why the mode can be negotiated per session (HELLO capability
-// bit + START flag, see kFlagRollback) with no wire change.
+// Transport: RollbackSession owns none. It borrows the driver's SyncPeer
+// — the same Algorithm-2 state machine lockstep uses, so the SYNC traffic
+// (cumulative acks, go-back-N or adaptive resend, RTT probe, hash
+// tripwire) is byte-for-byte the same protocol. Local input goes in
+// through submit_local (the input delay is the peer's lag), arrived remote
+// inputs are read through remote_input(), each frame is popped once it is
+// confirmed, and confirmed digests feed note_state_hash. Only the
+// *consumption policy* differs, which is why the mode can be negotiated
+// per session (HELLO capability bit + START flag, see kFlagRollback) with
+// no wire change.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "src/common/time.h"
 #include "src/common/types.h"
 #include "src/core/config.h"
-#include "src/core/input_buffer.h"
-#include "src/core/rtt.h"
 #include "src/core/sync_peer.h"
-#include "src/core/wire.h"
 #include "src/emu/game.h"
 
 namespace rtct {
@@ -54,7 +54,7 @@ class MetricsRegistry;  // src/common/telemetry.h
 
 namespace rtct::core {
 
-/// Rollback-specific counters (the shared transport counters live in
+/// Rollback-specific counters (the transport counters live in the peer's
 /// SyncPeerStats; these measure the speculation machinery itself).
 struct RollbackStats {
   std::uint64_t frames_executed = 0;     ///< first-time speculative executions
@@ -70,9 +70,11 @@ class RollbackSession {
   /// `cfg` must be the *effective* session config: the driver constructs
   /// this after the handshake, with `rollback_input_delay` set to
   /// SessionControl::rollback_delay() and `digest_v2` reflecting the
-  /// negotiated digest version. Captures the game's current state as the
+  /// negotiated digest version. `peer` must still be in its constructed
+  /// state (SyncPeer::set_buf_frames adopts the input delay as its lag) and
+  /// must outlive this session. Captures the game's current state as the
   /// pre-frame-0 restore point, so construct before executing any frame.
-  RollbackSession(SiteId my_site, emu::IDeterministicGame& game, SyncConfig cfg);
+  RollbackSession(SyncPeer& peer, emu::IDeterministicGame& game, SyncConfig cfg);
 
   struct FrameOutcome {
     FrameNo frame = -1;
@@ -88,26 +90,17 @@ class RollbackSession {
   }
 
   /// One frame of Algorithm-1 work under rollback: submits the local
-  /// input for frame `current_frame() + delay`, reconciles any newly
-  /// arrived remote inputs (rolling back if a prediction proved wrong),
-  /// then executes the next frame speculatively and snapshots it.
+  /// input for frame `current_frame() + delay` to the peer, reconciles any
+  /// newly arrived remote inputs (rolling back if a prediction proved
+  /// wrong), then executes the next frame speculatively and snapshots it.
   /// Pre: can_advance().
   FrameOutcome advance_frame(InputWord local_input);
 
   /// Applies newly arrived remote inputs without executing a new frame:
   /// verifies predictions, rolls back and re-simulates on the first
   /// mismatch, and advances the confirmed watermark. Called by drivers
-  /// after draining datagrams (advance_frame also calls it).
+  /// after draining datagrams into the peer (advance_frame also calls it).
   void reconcile();
-
-  // ---- transport (same SYNC wire traffic as SyncPeer) --------------------
-  /// Outbound flush: cumulative ack + unacked local-input window + RTT
-  /// echo + the newest *confirmed* state hash. nullopt when the peer
-  /// needs nothing from us.
-  std::optional<SyncMsg> make_message(Time now);
-  /// Merges a received SYNC message. Never touches the game — restoration
-  /// happens inside reconcile()/advance_frame() on the frame loop.
-  void ingest(const SyncMsg& msg, Time recv_time);
 
   // ---- progress ----------------------------------------------------------
   /// Next frame to execute (== frames executed so far, speculative ones
@@ -130,26 +123,12 @@ class RollbackSession {
   [[nodiscard]] std::span<const std::uint8_t> confirmed_state() const {
     return slot(confirmed_ - 1).state;
   }
-  /// True when the peer has acked every local input we ever buffered —
-  /// the lame-duck exit condition (the peer needs our inputs to finish
-  /// confirming its own tail).
-  [[nodiscard]] bool fully_acked() const { return last_ack_frame_ >= local_top_; }
-
-  // ---- desync detection (same contract as SyncPeer) ----------------------
-  [[nodiscard]] bool desync_detected() const { return desync_frame_ >= 0; }
-  [[nodiscard]] FrameNo desync_frame() const { return desync_frame_; }
 
   // ---- observability ------------------------------------------------------
-  /// Remote-progress observation for Algorithm 4's pacer, shaped exactly
-  /// like SyncPeer's (the confirmed remote watermark stands in for
-  /// LastRcvFrame).
-  [[nodiscard]] SyncPeer::RemoteObs remote_obs() const;
-  [[nodiscard]] Dur rtt() const { return rtt_.srtt(); }
-  [[nodiscard]] bool has_rtt_sample() const { return rtt_.has_sample(); }
   [[nodiscard]] int input_delay() const { return delay_; }
-  [[nodiscard]] const SyncPeerStats& stats() const { return stats_; }
   [[nodiscard]] const RollbackStats& rollback_stats() const { return rstats_; }
-  /// Exports the shared "sync.*" transport counters plus "rollback.*".
+  /// Exports the speculation counters ("rollback.*"; the peer exports
+  /// "sync.*").
   void export_metrics(MetricsRegistry& reg) const;
 
  private:
@@ -158,16 +137,13 @@ class RollbackSession {
     std::vector<std::uint8_t> state;  ///< machine state after `frame`
     std::uint64_t digest = 0;
     InputWord merged = 0;       ///< full input word the frame executed with
-    InputWord remote_used = 0;  ///< the remote partial inside `merged`
+    InputWord remote_used = 0;  ///< the remote partials inside `merged`
     bool remote_actual = false; ///< remote_used is the real input, not a guess
   };
 
   Slot& slot(FrameNo f) { return ring_[static_cast<std::size_t>(f % window_)]; }
   [[nodiscard]] const Slot& slot(FrameNo f) const {
     return ring_[static_cast<std::size_t>(f % window_)];
-  }
-  [[nodiscard]] InputWord remote_partial(FrameNo f) const {
-    return site_bits(ibuf_.partial(rm_site_, f), rm_site_);
   }
   /// Hold-last prediction: whatever we believe frame f-1's remote input
   /// was (actual when known, the previous prediction otherwise — the
@@ -180,47 +156,23 @@ class RollbackSession {
   void rollback_and_resim(FrameNo from);    ///< restore before `from`, re-run
   void restore_state_after(FrameNo f);      ///< f == -1 restores genesis
   void advance_confirmed();                 ///< promote actual-input frames
-  void check_remote_hash(FrameNo frame, std::uint64_t hash);
 
-  SiteId my_site_;
-  SiteId rm_site_;
+  SyncPeer& peer_;
   emu::IDeterministicGame& game_;
   SyncConfig cfg_;
   int delay_;    ///< local input delay in frames
   int window_;   ///< snapshot ring capacity
 
-  InputBuffer ibuf_;
   std::vector<Slot> ring_;
   std::vector<std::uint8_t> genesis_;  ///< state before frame 0
 
   FrameNo executed_ = 0;   ///< next frame to execute
   FrameNo confirmed_ = 0;  ///< next frame to confirm
-  FrameNo local_top_ = -1;     ///< highest local input frame buffered
-  FrameNo remote_contig_ = -1; ///< highest contiguous actual remote frame
 
-  // Transport state (mirrors SyncPeer).
-  FrameNo last_ack_frame_ = -1;  ///< highest local frame the peer acked
-  FrameNo ack_sent_ = -1;        ///< highest ack we ever put on the wire
-  FrameNo highest_sent_ = -1;    ///< highest local input frame ever sent
-  Time last_peer_send_time_ = -1;
-  Time last_peer_recv_time_ = 0;
-  RttEstimator rtt_;
-  Time remote_advance_time_ = 0;
-  bool seen_remote_ = false;
-
-  // Desync tripwire over *confirmed* digests only.
+  // Canonical history: the confirmed frames' digests and merged inputs.
   std::vector<std::uint64_t> confirmed_digests_;
   std::vector<InputWord> confirmed_inputs_;
-  struct HashRecord {
-    FrameNo frame = -1;
-    std::uint64_t hash = 0;
-  };
-  HashRecord latest_own_;      ///< newest confirmed interval hash (to send)
-  HashRecord pending_remote_;  ///< peer hash for a frame we've not confirmed
-  FrameNo hash_sent_ = -1;
-  FrameNo desync_frame_ = -1;
 
-  SyncPeerStats stats_;
   RollbackStats rstats_;
 };
 

@@ -18,7 +18,7 @@
 // master sizes the local lag from the larger of the two measurements —
 // BufFrame = ceil(RTT/2 / frame_period) + margin, clamped — and announces
 // the agreed value in START; drivers then apply effective_buf_frames() to
-// their SyncPeer/FramePacer before frame 0. With adaptive lag off (the
+// their SyncPeer before frame 0. With adaptive lag off (the
 // default) the fixed configured value must match exactly, as in v1.
 #pragma once
 
@@ -67,7 +67,7 @@ class SessionControl {
 
   /// The local-lag depth the session must run with: the negotiated value
   /// when adaptive lag agreed on one, else the configured fixed value.
-  /// Drivers apply it to SyncPeer/FramePacer once running() turns true.
+  /// Drivers apply it to their SyncPeer once running() turns true.
   [[nodiscard]] int effective_buf_frames() const {
     return negotiated_buf_ > 0 ? negotiated_buf_ : cfg_.buf_frames;
   }

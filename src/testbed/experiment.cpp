@@ -53,7 +53,7 @@ class SimSite {
         game_holder_(std::move(game)),
         game_(*game_holder_),
         peer_(site, cfg.sync),
-        pacer_(site, cfg.sync, cfg.pacing[site]),
+        pacer_(cfg.sync, cfg.pacing[site]),
         session_(site, game_.content_id(), cfg.sync),
         spectator_hub_(game_.content_id(), cfg.sync),
         input_(cfg.input_seed[site], cfg.input_hold_frames),
@@ -79,11 +79,12 @@ class SimSite {
 
   [[nodiscard]] const SiteResult& result() const { return result_; }
   SiteResult take_result(const net::LinkStats& tx_stats) {
-    result_.sync_stats = rollback_ ? rollback_->stats() : peer_.stats();
+    result_.sync_stats = peer_.stats();
     result_.tx_stats = tx_stats;
-    if (result_.buf_frames == 0) result_.buf_frames = cfg_.sync.buf_frames;
+    // The local lag the session ran with: negotiated lag or rollback delay.
+    result_.buf_frames = peer_.config().buf_frames;
     result_.frames_completed = static_cast<FrameNo>(result_.timeline.size());
-    result_.desync_frame = rollback_ ? rollback_->desync_frame() : peer_.desync_frame();
+    result_.desync_frame = peer_.desync_frame();
     result_.rollback_mode = rollback_ != nullptr;
     if (rollback_) result_.rollback_stats = rollback_->rollback_stats();
     if (const auto* r = game_.renderable()) {
@@ -115,11 +116,7 @@ class SimSite {
         // Reliability above re-delivers whatever was in the message.
         if (session_.running()) {
           apply_negotiated_lag();
-          if (rollback_ != nullptr) {
-            rollback_->ingest(*sync, sim_.now());
-          } else {
-            peer_.ingest(*sync, sim_.now());
-          }
+          peer_.ingest(*sync, sim_.now());
         }
       } else {
         session_.ingest(*msg, sim_.now());
@@ -128,37 +125,28 @@ class SimSite {
     if (any) state_changed_.notify_all();
   }
 
-  /// Locks the handshake-negotiated local lag into the sync/pacing state.
+  /// Locks the handshake-negotiated local lag into the sync state.
   /// Idempotent; must run after running() turns true and before the first
   /// submit/ingest/flush. With the fixed paper policy it is a no-op.
   void apply_negotiated_lag() {
     if (lag_applied_) return;
     lag_applied_ = true;
     digest_version_ = session_.digest_version();
-    if (session_.rollback_mode()) {
-      // v3: both sites opted into rollback. The RollbackSession replaces
-      // SyncPeer as the consistency engine; construct it with the
-      // *effective* config (negotiated digest version + input delay)
-      // before any frame executes, so it captures the genesis state.
-      core::SyncConfig eff = cfg_.sync;
-      eff.digest_v2 = digest_version_ == 2;
-      eff.rollback_input_delay = session_.rollback_delay();
-      rollback_ = std::make_unique<core::RollbackSession>(site_, game_, eff);
-      result_.buf_frames = rollback_->input_delay();
-      result_.replay = core::Replay(game_.content_id(), eff, game_.content_name());
-      return;
-    }
-    const int buf = session_.effective_buf_frames();
-    result_.buf_frames = buf;
-    if (buf != cfg_.sync.buf_frames) {
-      peer_.set_buf_frames(buf);
-      pacer_.set_buf_frames(buf);
-    }
-    // Rebuild the recording with the *effective* config regardless: the
+    // The recording is rebuilt with the *effective* config either way: the
     // negotiated digest version stamps the replay's keyframe digests.
     core::SyncConfig eff = cfg_.sync;
-    eff.buf_frames = buf;
     eff.digest_v2 = digest_version_ == 2;
+    if (session_.rollback_mode()) {
+      // v3: both sites opted into rollback. The RollbackSession consumes
+      // the peer speculatively; construct it with the *effective* config
+      // (negotiated digest version + input delay) before any frame
+      // executes, so it captures the genesis state.
+      eff.rollback_input_delay = session_.rollback_delay();
+      rollback_ = std::make_unique<core::RollbackSession>(peer_, game_, eff);
+    } else {
+      eff.buf_frames = session_.effective_buf_frames();
+      peer_.set_buf_frames(eff.buf_frames);
+    }
     result_.replay = core::Replay(game_.content_id(), eff, game_.content_name());
   }
 
@@ -201,9 +189,7 @@ class SimSite {
 
       if (session_.running()) {
         apply_negotiated_lag();
-        auto msg = rollback_ != nullptr ? rollback_->make_message(now)
-                                        : peer_.make_message(now);
-        if (msg) {
+        if (auto msg = peer_.make_message(1 - site_, now)) {
           // The producer/consumer thread handoff of §4.2 (~5 ms mean).
           if (cfg_.sync.send_dispatch_delay > 0) {
             co_await sim_.sleep(cfg_.sync.send_dispatch_delay);
@@ -316,7 +302,7 @@ class SimSite {
         core::FrameRecord rec;
         rec.frame = frame;
 
-        pacer_.begin_frame(sim_.now(), frame, rb.remote_obs());
+        pacer_.begin_frame(sim_.now(), frame, peer_.remote_obs());
         rec.begin_time = sim_.now();
 
         const InputWord local =

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "src/core/input_source.h"
-#include "src/core/mesh.h"
 #include "src/core/pacer.h"
+#include "src/core/sync_peer.h"
 #include "src/core/wire.h"
 #include "src/cores/registry.h"
 #include "src/net/sim_network.h"
@@ -22,7 +22,7 @@ struct MeshFlags {
   }
 };
 
-/// One mesh participant: machine + MeshSyncPeer + per-peer endpoints.
+/// One mesh participant: machine + N-site SyncPeer + per-peer endpoints.
 class MeshSite {
  public:
   MeshSite(sim::Simulator& sim, const MeshExperimentConfig& cfg, SiteId site,
@@ -32,8 +32,8 @@ class MeshSite {
         site_(site),
         game_holder_(std::move(game)),
         game_(*game_holder_),
-        peer_(site, cfg.num_sites, cfg.sync),
-        pacer_(site, cfg.sync),
+        peer_(site, cfg.sync, cfg.num_sites),
+        pacer_(cfg.sync),
         input_(cfg.input_seed_base + static_cast<std::uint64_t>(site), cfg.input_hold_frames),
         state_changed_(sim) {
     endpoints_.resize(static_cast<std::size_t>(cfg.num_sites), nullptr);
@@ -106,7 +106,7 @@ class MeshSite {
     for (FrameNo frame = 0; frame < cfg_.frames; ++frame) {
       core::FrameRecord rec;
       rec.frame = frame;
-      pacer_.begin_frame(sim_.now(), frame, peer_.master_obs());
+      pacer_.begin_frame(sim_.now(), frame, peer_.remote_obs());
       rec.begin_time = sim_.now();
 
       const InputWord partial = pack_player_bits_n(
@@ -147,7 +147,7 @@ class MeshSite {
   SiteId site_;
   std::unique_ptr<emu::IDeterministicGame> game_holder_;
   emu::IDeterministicGame& game_;
-  core::MeshSyncPeer peer_;
+  core::SyncPeer peer_;
   core::FramePacer pacer_;
   core::MasherInput input_;
   sim::Trigger state_changed_;

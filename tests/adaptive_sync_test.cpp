@@ -11,6 +11,8 @@
 //   (b) bounded stall — the pointer never stops progressing for longer
 //       than the retransmission machinery can explain;
 //   (c) sane stats — counters consistent with what the link reports.
+// The sweep ends with the same policy under the other two consumers of a
+// SyncPeer: rollback's speculative consumption and a 4-site mesh.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -19,7 +21,10 @@
 #include "src/common/random.h"
 #include "src/core/sync_peer.h"
 #include "src/core/wire.h"
+#include "src/games/cellwars.h"
 #include "src/net/netem.h"
+#include "src/testbed/experiment.h"
+#include "src/testbed/mesh_experiment.h"
 
 namespace rtct::core {
 namespace {
@@ -128,7 +133,7 @@ TEST_P(AdaptiveSyncSweepTest, LockstepSurvivesAndProgresses) {
 
       if (now >= next_flush[s]) {
         next_flush[s] = now + cfg.send_flush_period;
-        if (auto m = peer.make_message(now)) {
+        if (auto m = peer.make_message(1 - s, now)) {
           const auto size = encode_message(Message{*m}).size();
           const auto verdict = links[s].offer(now, size);
           if (verdict.delivered) {
@@ -173,10 +178,10 @@ TEST_P(AdaptiveSyncSweepTest, LockstepSurvivesAndProgresses) {
     EXPECT_EQ(peer_st.messages_ingested + inflight[1 - s].size(), tx.packets_delivered);
     EXPECT_GE(st.inputs_sent, static_cast<std::uint64_t>(kFrames));
     EXPECT_GT(st.rtt_samples, 0u);
-    EXPECT_EQ(st.rtt_samples, peers[s].rtt_estimator().sample_count());
-    EXPECT_TRUE(peers[s].has_rtt_sample());
+    EXPECT_EQ(st.rtt_samples, peers[s].rtt_estimator(1 - s).sample_count());
+    EXPECT_TRUE(peers[s].rtt_estimator(1 - s).has_sample());
     // RTT through a 30 ms-each-way link can never read below 60 ms.
-    EXPECT_GE(peers[s].rtt(), milliseconds(60));
+    EXPECT_GE(peers[s].rtt(1 - s), milliseconds(60));
     if (!adaptive) {
       EXPECT_EQ(st.rto_fires, 0u);
       EXPECT_EQ(st.redundant_inputs_sent, 0u);
@@ -188,6 +193,50 @@ TEST_P(AdaptiveSyncSweepTest, LockstepSurvivesAndProgresses) {
       EXPECT_EQ(tx.dropped_loss, 0u);
       EXPECT_EQ(tx.duplicated, 0u);
     }
+  }
+}
+
+// ---- the adaptive policy in every mode ---------------------------------------
+// adaptive_resend lives in the one SyncPeer, so it applies wherever a peer
+// carries the inputs. Each session must converge under loss, and the
+// adaptive machinery must have run: a timer expiry or a redundancy-tail
+// entry (both stay zero under the paper's go-back-N).
+
+void adapt(SyncConfig& cfg) {
+  cfg.adaptive_resend = true;
+  cfg.redundant_inputs = 2;
+}
+
+TEST(AdaptiveResendEveryModeTest, RollbackSessionConvergesUnderLoss) {
+  testbed::ExperimentConfig cfg;
+  cfg.game_factory = games::make_cellwars;
+  cfg.frames = 600;
+  cfg.sync.rollback = true;
+  adapt(cfg.sync);
+  cfg.set_rtt(milliseconds(80));
+  cfg.net_a_to_b.loss = 0.1;
+  cfg.net_b_to_a.loss = 0.1;
+  const auto r = testbed::run_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  for (const auto& site : r.site) {
+    EXPECT_TRUE(site.rollback_mode);
+    EXPECT_EQ(site.desync_frame, -1);
+    EXPECT_GT(site.sync_stats.rto_fires + site.sync_stats.redundant_inputs_sent, 0u);
+  }
+}
+
+TEST(AdaptiveResendEveryModeTest, FourSiteMeshConvergesUnderLoss) {
+  testbed::MeshExperimentConfig cfg;
+  cfg.game_factory = games::make_cellwars;
+  cfg.num_sites = 4;
+  cfg.frames = 600;
+  adapt(cfg.sync);
+  cfg.net = net::NetemConfig::for_rtt(milliseconds(60));
+  cfg.net.loss = 0.1;
+  const auto r = testbed::run_mesh_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  for (const auto& site : r.sites) {
+    EXPECT_GT(site.sync_stats.rto_fires + site.sync_stats.redundant_inputs_sent, 0u);
   }
 }
 

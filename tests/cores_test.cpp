@@ -192,6 +192,28 @@ TEST(Agent86TestbedTest, RollbackSessionConvergesAndReplays) {
   EXPECT_TRUE(r.site[0].replay.apply(*replica));
 }
 
+TEST(Agent86TestbedTest, RollbackSlavePacesToTheMasterPastLockstepsThreshold) {
+  // Algorithm 4 must subtract the lag the session runs with — under
+  // rollback, the input delay, not BufFrame. Subtracting BufFrame (6) from
+  // a watermark offset by the 2-frame delay parks the slave ~4 frames
+  // (~67 ms) behind the master. Shape: 150 ms RTT with jitter and loss,
+  // where rollback is the mode to use.
+  testbed::ExperimentConfig cfg;
+  cfg.game = "agent86:skirmish";
+  cfg.frames = 900;
+  cfg.sync.rollback = true;
+  for (auto* net : {&cfg.net_a_to_b, &cfg.net_b_to_a}) {
+    net->delay = milliseconds(75);
+    net->jitter = milliseconds(10);
+    net->loss = 0.02;
+  }
+  const auto r = testbed::run_experiment(cfg);
+  ASSERT_TRUE(r.converged());
+  ASSERT_TRUE(r.site[0].rollback_mode);
+  EXPECT_EQ(r.site[0].buf_frames, cfg.sync.rollback_input_delay);
+  EXPECT_LT(r.synchrony_ms(), 20.0);
+}
+
 TEST(Agent86TestbedTest, SpectatorJoinsAnAgent86Session) {
   testbed::ExperimentConfig cfg;
   cfg.game = "agent86:skirmish";

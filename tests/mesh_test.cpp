@@ -1,10 +1,10 @@
-// Tests for the N-site mesh extension: MeshSyncPeer unit tests and full
-// 4-player mesh experiments.
+// Tests for the N-site mesh extension: SyncPeer with four sites (and the
+// paper's two, run as a mesh) plus full 4-player mesh experiments.
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
 #include "src/common/telemetry.h"
-#include "src/core/mesh.h"
+#include "src/core/sync_peer.h"
 #include "src/testbed/mesh_experiment.h"
 
 namespace rtct::core {
@@ -12,11 +12,11 @@ namespace {
 
 SyncConfig cfgm() { return SyncConfig{}; }
 
-// ---- MeshSyncPeer unit tests --------------------------------------------------
+// ---- N-site SyncPeer unit tests -----------------------------------------------
 
 TEST(MeshPeerTest, FourSiteLockstepOverInstantChannels) {
-  MeshSyncPeer peers[4] = {MeshSyncPeer(0, 4, cfgm()), MeshSyncPeer(1, 4, cfgm()),
-                           MeshSyncPeer(2, 4, cfgm()), MeshSyncPeer(3, 4, cfgm())};
+  SyncPeer peers[4] = {SyncPeer(0, cfgm(), 4), SyncPeer(1, cfgm(), 4),
+                           SyncPeer(2, cfgm(), 4), SyncPeer(3, cfgm(), 4)};
   for (FrameNo f = 0; f < 30; ++f) {
     for (SiteId s = 0; s < 4; ++s) {
       peers[s].submit_local(
@@ -45,9 +45,9 @@ TEST(MeshPeerTest, FourSiteLockstepOverInstantChannels) {
 }
 
 TEST(MeshPeerTest, NotReadyUntilEveryPeerArrives) {
-  MeshSyncPeer a(0, 4, cfgm());
-  MeshSyncPeer others[3] = {MeshSyncPeer(1, 4, cfgm()), MeshSyncPeer(2, 4, cfgm()),
-                            MeshSyncPeer(3, 4, cfgm())};
+  SyncPeer a(0, cfgm(), 4);
+  SyncPeer others[3] = {SyncPeer(1, cfgm(), 4), SyncPeer(2, cfgm(), 4),
+                            SyncPeer(3, cfgm(), 4)};
   for (FrameNo f = 0; f < 7; ++f) {
     a.submit_local(f, 0);
     for (auto& o : others) o.submit_local(f, 0);
@@ -65,7 +65,7 @@ TEST(MeshPeerTest, NotReadyUntilEveryPeerArrives) {
 }
 
 TEST(MeshPeerTest, ReorderedGappedWindowDoesNotAdvanceWatermark) {
-  MeshSyncPeer a(0, 4, cfgm());
+  SyncPeer a(0, cfgm(), 4);
   // Initial contiguity watermark = buf_frames - 1 = 5 for every site.
   ASSERT_EQ(a.last_rcv_frame(1), 5);
 
@@ -96,16 +96,16 @@ TEST(MeshPeerTest, ReorderedGappedWindowDoesNotAdvanceWatermark) {
 
 TEST(MeshPeerTest, GappedMasterWindowDoesNotMarkMasterSeen) {
   // Same hazard on the Algorithm-4 side: a gapped window from the master
-  // must not refresh master_advance_time_/seen_master_ either, or the
+  // must not refresh the master observation either, or the
   // slave's rate sync would extrapolate from a frame it never received.
-  MeshSyncPeer slave(1, 4, cfgm());
+  SyncPeer slave(1, cfgm(), 4);
   SyncMsg gapped;
   gapped.site = 0;  // master
   gapped.ack_frame = 5;
   gapped.first_frame = 9;
   gapped.inputs = {0x7};
   slave.ingest(gapped, milliseconds(100));
-  EXPECT_FALSE(slave.master_obs().valid);
+  EXPECT_FALSE(slave.remote_obs().valid);
   EXPECT_EQ(slave.last_rcv_frame(0), 5);
 
   SyncMsg fill;
@@ -114,13 +114,13 @@ TEST(MeshPeerTest, GappedMasterWindowDoesNotMarkMasterSeen) {
   fill.first_frame = 6;
   fill.inputs = {0x1, 0x2, 0x3};
   slave.ingest(fill, milliseconds(120));
-  EXPECT_TRUE(slave.master_obs().valid);
+  EXPECT_TRUE(slave.remote_obs().valid);
   EXPECT_EQ(slave.last_rcv_frame(0), 9);
-  EXPECT_EQ(slave.master_obs().rcv_time, milliseconds(120));
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(120));
 }
 
 TEST(MeshPeerTest, ExportMetricsPublishesSyncAndPeerGauges) {
-  MeshSyncPeer a(0, 4, cfgm());
+  SyncPeer a(0, cfgm(), 4);
   for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, 0);
   SyncMsg m;
   m.site = 2;
@@ -139,7 +139,7 @@ TEST(MeshPeerTest, ExportMetricsPublishesSyncAndPeerGauges) {
 }
 
 TEST(MeshPeerTest, PerPeerAcksTrimIndependently) {
-  MeshSyncPeer a(0, 4, cfgm());
+  SyncPeer a(0, cfgm(), 4);
   for (FrameNo f = 0; f < 5; ++f) a.submit_local(f, 0);
   // Peer 1 acks everything; peers 2,3 ack nothing: the window to peer 1
   // empties, the others still get the full resend.
@@ -155,7 +155,7 @@ TEST(MeshPeerTest, PerPeerAcksTrimIndependently) {
 }
 
 TEST(MeshPeerTest, SelfAndOutOfRangeMessagesDropped) {
-  MeshSyncPeer a(0, 4, cfgm());
+  SyncPeer a(0, cfgm(), 4);
   SyncMsg bogus;
   bogus.site = 0;
   a.ingest(bogus, 0);
@@ -169,8 +169,8 @@ TEST(MeshPeerTest, SelfAndOutOfRangeMessagesDropped) {
 TEST(MeshPeerTest, TwoSiteMeshMatchesPairBehaviour) {
   // A 2-site mesh is the paper's algorithm; check the basic local-lag
   // delivery semantics match SyncPeer's.
-  MeshSyncPeer a(0, 2, cfgm());
-  MeshSyncPeer b(1, 2, cfgm());
+  SyncPeer a(0, cfgm(), 2);
+  SyncPeer b(1, cfgm(), 2);
   for (FrameNo f = 0; f < 12; ++f) {
     a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0));
     b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 51)));
@@ -188,15 +188,16 @@ TEST(MeshPeerTest, TwoSiteMeshMatchesPairBehaviour) {
 }
 
 TEST(MeshPeerTest, MasterObsOnlyValidForSlaves) {
-  MeshSyncPeer master(0, 4, cfgm());
-  MeshSyncPeer slave(2, 4, cfgm());
-  EXPECT_FALSE(master.master_obs().valid);
-  EXPECT_FALSE(slave.master_obs().valid);
+  SyncPeer master(0, cfgm(), 4);
+  SyncPeer slave(2, cfgm(), 4);
+  EXPECT_FALSE(master.remote_obs().valid);
+  EXPECT_FALSE(slave.remote_obs().valid);
   master.submit_local(0, 0);
   if (auto m = master.make_message(2, 0)) slave.ingest(*m, milliseconds(42));
-  EXPECT_TRUE(slave.master_obs().valid);
-  EXPECT_EQ(slave.master_obs().rcv_time, milliseconds(42));
-  EXPECT_EQ(slave.master_obs().last_rcv_frame, 6);
+  EXPECT_TRUE(slave.remote_obs().valid);
+  EXPECT_EQ(slave.remote_obs().rcv_time, milliseconds(42));
+  EXPECT_EQ(slave.last_rcv_frame(0), 6);
+  EXPECT_EQ(slave.remote_obs().master_frame, 0);  // LastRcvFrame minus the lag
 }
 
 // ---- property: 4-site lockstep under a hostile mesh -----------------------------
@@ -205,8 +206,8 @@ TEST(MeshPeerTest, LockstepInvariantUnderLossyMesh) {
   Rng rng(99);
   constexpr int kN = 4;
   constexpr FrameNo kFrames = 60;
-  std::vector<MeshSyncPeer> peers;
-  for (SiteId s = 0; s < kN; ++s) peers.emplace_back(s, kN, cfgm());
+  std::vector<SyncPeer> peers;
+  for (SiteId s = 0; s < kN; ++s) peers.emplace_back(s, cfgm(), kN);
 
   struct Packet {
     Time at;

@@ -20,7 +20,7 @@ SyncPeer::RemoteObs no_obs() { return {}; }
 // ---- Algorithm 3 (EndFrameTiming) --------------------------------------------
 
 TEST(PacerAlg3Test, OnTimeFrameWaitsOutRemainder) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   p.begin_frame(0, 0, no_obs());
   const Dur wait = p.end_frame(milliseconds(4));  // frame took 4 ms
   EXPECT_EQ(wait, cfg60().frame_period() - milliseconds(4));
@@ -28,7 +28,7 @@ TEST(PacerAlg3Test, OnTimeFrameWaitsOutRemainder) {
 }
 
 TEST(PacerAlg3Test, OverrunCarriesNegativeDelta) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   p.begin_frame(0, 0, no_obs());
   const Dur wait = p.end_frame(milliseconds(30));  // frame took 30 > 16.7 ms
   EXPECT_EQ(wait, 0);
@@ -36,7 +36,7 @@ TEST(PacerAlg3Test, OverrunCarriesNegativeDelta) {
 }
 
 TEST(PacerAlg3Test, SubsequentFramesRepayTheDebt) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   const Dur tpf = cfg60().frame_period();
 
   // Frame 0 stalls 30 ms.
@@ -57,7 +57,7 @@ TEST(PacerAlg3Test, SubsequentFramesRepayTheDebt) {
 }
 
 TEST(PacerAlg3Test, HugeOverrunAccumulatesAcrossFrames) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   const Dur tpf = cfg60().frame_period();
   p.begin_frame(0, 0, no_obs());
   EXPECT_EQ(p.end_frame(milliseconds(100)), 0);
@@ -71,7 +71,7 @@ TEST(PacerAlg3Test, HugeOverrunAccumulatesAcrossFrames) {
 // ---- Late wakes (wall-clock frame loop) ---------------------------------------
 
 TEST(PacerWakeTest, LateWakeShortensTheNextFramesWait) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   const Dur tpf = cfg60().frame_period();
   const Dur late = microseconds(60);
   p.begin_frame(0, 0, no_obs());
@@ -91,7 +91,7 @@ TEST(PacerWakeTest, LateWakeShortensTheNextFramesWait) {
 }
 
 TEST(PacerWakeTest, OverrunFrameIsNotChargedTwice) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   const Dur tpf = cfg60().frame_period();
   p.begin_frame(0, 0, no_obs());
   EXPECT_EQ(p.end_frame(milliseconds(30)), 0);
@@ -104,7 +104,7 @@ TEST(PacerWakeTest, OverrunFrameIsNotChargedTwice) {
 }
 
 TEST(PacerWakeTest, OnTimeWakeLeavesTheDeltaAtZero) {
-  FramePacer p(0, cfg60());
+  FramePacer p(cfg60());
   const Dur tpf = cfg60().frame_period();
   p.begin_frame(0, 0, no_obs());
   EXPECT_EQ(p.end_frame(milliseconds(4)), tpf - milliseconds(4));
@@ -115,7 +115,7 @@ TEST(PacerWakeTest, OnTimeWakeLeavesTheDeltaAtZero) {
 }
 
 TEST(PacerNaiveTest, NaivePolicyNeverCompensates) {
-  FramePacer p(0, cfg60(), PacingPolicy::kNaive);
+  FramePacer p(cfg60(), PacingPolicy::kNaive);
   p.begin_frame(0, 0, no_obs());
   EXPECT_EQ(p.end_frame(milliseconds(30)), 0);
   EXPECT_EQ(p.adjust_time_delta(), 0);  // §3.2 strawman: no carry-over
@@ -125,10 +125,10 @@ TEST(PacerNaiveTest, NaivePolicyNeverCompensates) {
 
 // ---- Algorithm 4 (BeginFrameTiming) --------------------------------------------
 
-SyncPeer::RemoteObs obs(FrameNo last_rcv, Time rcv_time, Dur rtt) {
+SyncPeer::RemoteObs obs(FrameNo master_frame, Time rcv_time, Dur rtt) {
   SyncPeer::RemoteObs o;
   o.valid = true;
-  o.last_rcv_frame = last_rcv;
+  o.master_frame = master_frame;
   o.rcv_time = rcv_time;
   o.rtt = rtt;
   o.rtt_valid = true;
@@ -136,14 +136,24 @@ SyncPeer::RemoteObs obs(FrameNo last_rcv, Time rcv_time, Dur rtt) {
 }
 
 TEST(PacerAlg4Test, MasterNeverRateSyncs) {
-  FramePacer p(kMasterSite, cfg60());
-  p.begin_frame(milliseconds(500), 30, obs(100, milliseconds(490), milliseconds(40)));
+  // "In the master site ... always zero": the master's peer reports no
+  // observation, even once the slave's inputs and RTT echoes arrive.
+  SyncPeer master(kMasterSite, cfg60());
+  SyncPeer slave(kSlaveSite, cfg60());
+  master.submit_local(0, 0);
+  slave.submit_local(0, 0);
+  slave.ingest(*master.make_message(kSlaveSite, milliseconds(400)), milliseconds(420));
+  master.ingest(*slave.make_message(kMasterSite, milliseconds(470)), milliseconds(490));
+  ASSERT_TRUE(master.rtt_estimator(kSlaveSite).has_sample());
+  ASSERT_FALSE(master.remote_obs().valid);
+  FramePacer p(cfg60());
+  p.begin_frame(milliseconds(500), 30, master.remote_obs());
   EXPECT_EQ(p.last_sync_adjust(), 0);  // "In the master site ... always zero"
   EXPECT_EQ(p.adjust_time_delta(), 0);
 }
 
 TEST(PacerAlg4Test, SlaveWithoutObservationDoesNothing) {
-  FramePacer p(kSlaveSite, cfg60());
+  FramePacer p(cfg60());
   p.begin_frame(milliseconds(500), 30, no_obs());
   EXPECT_EQ(p.last_sync_adjust(), 0);
 }
@@ -153,12 +163,13 @@ TEST(PacerAlg4Test, InSyncSlaveComputesZeroAdjust) {
   // the slave's current frame exactly.
   const SyncConfig cfg = cfg60();
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
-  // Master sent input for master-frame 24 (LastRcv 30 - BufFrame 6);
-  // received at t=500ms with RTT 0. At now = 500ms + 6*tpf the master
-  // should be at frame 30 — same as the slave: perfectly in sync.
+  FramePacer p(cfg);
+  // Master sent input for master-frame 24 (the peer reports LastRcv 30
+  // minus BufFrame 6); received at t=500ms with RTT 0. At now = 500ms +
+  // 6*tpf the master should be at frame 30 — same as the slave: perfectly
+  // in sync.
   const Time now = milliseconds(500) + 6 * tpf;
-  p.begin_frame(now, 30, obs(30, milliseconds(500), 0));
+  p.begin_frame(now, 30, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), 0);
   EXPECT_EQ(p.adjust_time_delta(), 0);
 }
@@ -166,10 +177,10 @@ TEST(PacerAlg4Test, InSyncSlaveComputesZeroAdjust) {
 TEST(PacerAlg4Test, SlaveAheadSlowsDown) {
   const SyncConfig cfg = cfg60();
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
   // Slave is 3 frames ahead of the extrapolated master frame (30).
-  p.begin_frame(now, 33, obs(30, milliseconds(500), 0));
+  p.begin_frame(now, 33, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), 3 * tpf);  // positive => wait longer
   EXPECT_EQ(p.adjust_time_delta(), 3 * tpf);
 }
@@ -177,20 +188,20 @@ TEST(PacerAlg4Test, SlaveAheadSlowsDown) {
 TEST(PacerAlg4Test, SlaveBehindSpeedsUp) {
   const SyncConfig cfg = cfg60();
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
-  p.begin_frame(now, 27, obs(30, milliseconds(500), 0));
+  p.begin_frame(now, 27, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), -3 * tpf);  // negative => shorten frames
 }
 
 TEST(PacerAlg4Test, RttHalfShiftsTheMasterEstimate) {
   const SyncConfig cfg = cfg60();
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
   // Same as the in-sync case but the observation travelled 40 ms RTT: the
   // master sent 20 ms before rcv_time, so it is 20 ms further along.
-  p.begin_frame(now, 30, obs(30, milliseconds(500), milliseconds(40)));
+  p.begin_frame(now, 30, obs(24, milliseconds(500), milliseconds(40)));
   EXPECT_EQ(p.last_sync_adjust(), -milliseconds(20));
 }
 
@@ -198,9 +209,9 @@ TEST(PacerAlg4Test, GainScalesTheCorrection) {
   SyncConfig cfg = cfg60();
   cfg.rate_sync_gain = 0.25;
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
-  p.begin_frame(now, 34, obs(30, milliseconds(500), 0));
+  p.begin_frame(now, 34, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), 4 * tpf / 4);
 }
 
@@ -208,13 +219,13 @@ TEST(PacerAlg4Test, DeadbandSwallowsNoise) {
   SyncConfig cfg = cfg60();
   cfg.rate_sync_deadband = milliseconds(10);
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
   // Raw skew of +5 ms: inside the deadband, ignored.
-  p.begin_frame(now - milliseconds(5), 30, obs(30, milliseconds(500), 0));
+  p.begin_frame(now - milliseconds(5), 30, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), 0);
   // Raw skew of +30 ms: outside, applied.
-  p.begin_frame(now - milliseconds(30), 30, obs(30, milliseconds(500), 0));
+  p.begin_frame(now - milliseconds(30), 30, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), milliseconds(30));
 }
 
@@ -226,16 +237,16 @@ TEST(PacerAlg4Test, NoRateSyncBeforeFirstRttSample) {
   // skipped entirely, even though the observation itself is valid.
   const SyncConfig cfg = cfg60();
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
   const Time now = milliseconds(500) + 6 * tpf;
-  SyncPeer::RemoteObs o = obs(30, milliseconds(500), 0);
+  SyncPeer::RemoteObs o = obs(24, milliseconds(500), 0);
   o.rtt_valid = false;
   p.begin_frame(now, 33, o);  // 3 frames of apparent skew...
   EXPECT_EQ(p.last_sync_adjust(), 0);  // ...ignored until RTT is known
   EXPECT_EQ(p.adjust_time_delta(), 0);
 
   // The same observation with a measured RTT applies normally.
-  p.begin_frame(now, 33, obs(30, milliseconds(500), 0));
+  p.begin_frame(now, 33, obs(24, milliseconds(500), 0));
   EXPECT_EQ(p.last_sync_adjust(), 3 * tpf);
 }
 
@@ -244,7 +255,7 @@ TEST(PacerAlg4Test, ConvergenceFromStartupSkew) {
   // paper's correction each frame converges to the master's schedule.
   SyncConfig cfg;  // default smoothing (gain 0.15, deadband 4 ms)
   const Dur tpf = cfg.frame_period();
-  FramePacer p(kSlaveSite, cfg);
+  FramePacer p(cfg);
 
   Time slave_now = milliseconds(100);  // master started at 0
   FrameNo frame = 0;
@@ -253,7 +264,7 @@ TEST(PacerAlg4Test, ConvergenceFromStartupSkew) {
     // Master's input for its frame F was "received" with zero RTT; use the
     // freshest plausible observation.
     const FrameNo master_frame_now = static_cast<FrameNo>(slave_now / tpf);
-    const auto o = obs(master_frame_now + cfg.buf_frames, slave_now, 0);
+    const auto o = obs(master_frame_now, slave_now, 0);
     p.begin_frame(slave_now, frame, o);
     const Dur wait = p.end_frame(slave_now + milliseconds(2));
     slave_now += milliseconds(2) + wait;

@@ -123,7 +123,7 @@ TEST(RelaySoakTest, SixtyFourConcurrentSessionsStayConsistent) {
         // must carry the session across.
         const Dur vt = site.popped * frame_period(60);
         if (!drop_this_send(s.script, vt, s.rng)) {
-          if (auto msg = peer.make_message(now)) {
+          if (auto msg = peer.make_message(1 - sid, now)) {
             core::encode_message_into(core::Message{*msg}, scratch);
             site.ep->send(scratch);
           }

@@ -1,5 +1,6 @@
-// RollbackSession unit tests: two sessions wired back to back through a
-// hand-driven message queue (no virtual-clock testbed, no sockets), so
+// RollbackSession unit tests: two sessions, each consuming its own
+// SyncPeer, wired back to back through a hand-driven message queue (no
+// virtual-clock testbed, no sockets), so
 // each test controls exactly when datagrams arrive, get duplicated, get
 // dropped, or get corrupted. The chaos suites cover the integrated
 // behaviour; these pin down the speculation engine's contract in
@@ -13,7 +14,8 @@
 //     confirmation catches up;
 //   * go-back-N retransmission survives loss, duplication and reordering;
 //   * the hash tripwire flags a forged state hash at the exact frame;
-//   * confirmed_state() is a loadable snapshot of the confirmed frontier.
+//   * confirmed_state() is a loadable snapshot of the confirmed frontier;
+//   * a SYNC naming a site outside the session touches nothing.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -35,7 +37,8 @@ SyncConfig rollback_cfg(int delay = 2, int window = 16) {
   return cfg;
 }
 
-/// Two RollbackSessions over an explicit in-order delay queue. Each step()
+/// Two RollbackSessions (each over its own SyncPeer) over an explicit
+/// in-order delay queue. Each step()
 /// delivers due messages, reconciles, advances one frame per site (inputs
 /// from a caller-supplied schedule), and flushes outbound traffic.
 struct Rig {
@@ -44,16 +47,18 @@ struct Rig {
         one_way_(one_way),
         game_a_(games::make_cellwars()),
         game_b_(games::make_cellwars()),
-        a_(0, *game_a_, cfg),
-        b_(1, *game_b_, cfg) {}
+        pa_(0, cfg),
+        pb_(1, cfg),
+        a_(pa_, *game_a_, cfg),
+        b_(pb_, *game_b_, cfg) {}
 
   void deliver_due() {
     while (!to_a_.empty() && to_a_.front().first <= now_) {
-      a_.ingest(to_a_.front().second, now_);
+      pa_.ingest(to_a_.front().second, now_);
       to_a_.pop_front();
     }
     while (!to_b_.empty() && to_b_.front().first <= now_) {
-      b_.ingest(to_b_.front().second, now_);
+      pb_.ingest(to_b_.front().second, now_);
       to_b_.pop_front();
     }
     a_.reconcile();
@@ -61,8 +66,8 @@ struct Rig {
   }
 
   void flush() {
-    if (auto m = a_.make_message(now_)) to_b_.emplace_back(now_ + one_way_, *m);
-    if (auto m = b_.make_message(now_)) to_a_.emplace_back(now_ + one_way_, *m);
+    if (auto m = pa_.make_message(1, now_)) to_b_.emplace_back(now_ + one_way_, *m);
+    if (auto m = pb_.make_message(0, now_)) to_a_.emplace_back(now_ + one_way_, *m);
   }
 
   /// One frame on both sites. `pa`/`pb` are the per-player button bytes
@@ -82,7 +87,7 @@ struct Rig {
   void drain(FrameNo frames) {
     for (int i = 0; i < 1000; ++i) {
       if (a_.confirmed_frames() >= frames && b_.confirmed_frames() >= frames &&
-          a_.fully_acked() && b_.fully_acked()) {
+          pa_.fully_acked() && pb_.fully_acked()) {
         return;
       }
       now_ += milliseconds(16);
@@ -107,14 +112,15 @@ struct Rig {
       ASSERT_EQ(twin->state_digest(cfg_.digest_version()), a_.confirmed_digest(f))
           << "straight-line twin diverged at frame " << f;
     }
-    EXPECT_FALSE(a_.desync_detected());
-    EXPECT_FALSE(b_.desync_detected());
+    EXPECT_FALSE(pa_.desync_detected());
+    EXPECT_FALSE(pb_.desync_detected());
   }
 
   SyncConfig cfg_;
   Dur one_way_;
   Time now_ = 0;
   std::unique_ptr<emu::IDeterministicGame> game_a_, game_b_;
+  SyncPeer pa_, pb_;
   RollbackSession a_, b_;
   std::deque<std::pair<Time, SyncMsg>> to_a_, to_b_;
 };
@@ -237,8 +243,8 @@ TEST(RollbackSessionTest, SurvivesLossDuplicationAndReordering) {
   rig.expect_canonical_history(kFrames);
   // The mangling must actually have exercised the dup path (telemetry
   // invariant: duplicates are counted as duplicates, not stale drops).
-  EXPECT_GT(rig.a_.stats().duplicate_inputs_rcvd, 0u);
-  EXPECT_EQ(rig.a_.stats().stale_messages, 0u);
+  EXPECT_GT(rig.pa_.stats().duplicate_inputs_rcvd, 0u);
+  EXPECT_EQ(rig.pa_.stats().stale_messages, 0u);
 }
 
 TEST(RollbackSessionTest, ForgedStateHashTripsDesyncAtThatFrame) {
@@ -266,9 +272,9 @@ TEST(RollbackSessionTest, ForgedStateHashTripsDesyncAtThatFrame) {
   // Pump without asserting cleanliness (drain() is fine — desync does not
   // stop the transport, only flags it).
   rig.drain(kFrames);
-  EXPECT_TRUE(rig.a_.desync_detected());
-  EXPECT_EQ(rig.a_.desync_frame(), forged_frame);
-  EXPECT_FALSE(rig.b_.desync_detected()) << "B's own history is untouched";
+  EXPECT_TRUE(rig.pa_.desync_detected());
+  EXPECT_EQ(rig.pa_.desync_frame(), forged_frame);
+  EXPECT_FALSE(rig.pb_.desync_detected()) << "B's own history is untouched";
 }
 
 TEST(RollbackSessionTest, ConfirmedStateIsALoadableSnapshotOfTheFrontier) {
@@ -299,7 +305,8 @@ TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {
   // must clamp. Observable via the ring-bound arithmetic.
   SyncConfig cfg = rollback_cfg(/*delay=*/6, /*window=*/2);
   auto game = games::make_cellwars();
-  RollbackSession s(0, *game, cfg);
+  SyncPeer peer(0, cfg);
+  RollbackSession s(peer, *game, cfg);
   EXPECT_EQ(s.input_delay(), 6);
   // Sever the network entirely; advance to the bound.
   int steps = 0;
@@ -310,6 +317,39 @@ TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {
   ASSERT_LT(steps, 200);
   // Clamped window is delay + 4 = 10: executed - confirmed == window - 1.
   EXPECT_EQ(s.current_frame() - s.confirmed_frames(), 10 - 1);
+}
+
+TEST(RollbackSessionTest, SyncFromASiteOutsideTheSessionIsStale) {
+  // Only the session's other site may contribute remote inputs. A SYNC
+  // naming any other site id (here 5) must be counted stale and change no
+  // input, watermark or confirmation — not be filed as the remote's.
+  Rig rig(rollback_cfg(), milliseconds(40));
+  for (FrameNo f = 0; f < 10; ++f) rig.step(0x11, 0x12);
+  const FrameNo rcv = rig.pa_.last_rcv_frame(1);
+  const FrameNo ack = rig.pa_.last_ack_frame(1);
+  const FrameNo confirmed = rig.a_.confirmed_frames();
+  const std::uint64_t rollbacks = rig.a_.rollback_stats().rollbacks;
+  ASSERT_FALSE(rig.pa_.remote_input(rcv + 1).has_value());
+
+  SyncMsg rogue;
+  rogue.site = 5;
+  rogue.ack_frame = rcv + 20;
+  rogue.first_frame = rcv + 1;
+  rogue.inputs.assign(8, make_input(0, 0x7F));
+  rig.pa_.ingest(rogue, rig.now_);
+  rig.a_.reconcile();
+
+  EXPECT_EQ(rig.pa_.stats().stale_messages, 1u);
+  EXPECT_EQ(rig.pa_.last_rcv_frame(1), rcv);
+  EXPECT_EQ(rig.pa_.last_ack_frame(1), ack);
+  EXPECT_FALSE(rig.pa_.remote_input(rcv + 1).has_value());
+  EXPECT_EQ(rig.a_.confirmed_frames(), confirmed);
+  EXPECT_EQ(rig.a_.rollback_stats().rollbacks, rollbacks);
+
+  // The session carries on and still converges on the canonical history.
+  for (FrameNo f = 10; f < 30; ++f) rig.step(0x11, 0x12);
+  rig.drain(30);
+  rig.expect_canonical_history(30);
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ TEST(SyncPeerTest, LocalInputAppliesAfterLocalLag) {
   for (FrameNo f = 0; f < 20; ++f) {
     a.submit_local(f, make_input(static_cast<std::uint8_t>(f + 1), 0));
     b.submit_local(f, make_input(0, static_cast<std::uint8_t>(f + 101)));
-    if (auto m = a.make_message(f)) b.ingest(*m, f);
-    if (auto m = b.make_message(f)) a.ingest(*m, f);
+    if (auto m = a.make_message(1, f)) b.ingest(*m, f);
+    if (auto m = b.make_message(0, f)) a.ingest(*m, f);
     ASSERT_TRUE(a.ready());
     ASSERT_TRUE(b.ready());
     const InputWord ia = a.pop();
@@ -73,7 +73,7 @@ TEST(SyncPeerTest, NotReadyUntilRemoteArrives) {
 TEST(SyncPeerTest, MakeMessageCarriesUnackedWindow) {
   SyncPeer a(0, test_config());
   for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0));
-  const auto m = a.make_message(0);
+  const auto m = a.make_message(1, 0);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->first_frame, 6);       // LastAckFrame(5) + 1
   EXPECT_EQ(m->last_frame(), 8);      // local inputs buffered to frame 2+6
@@ -84,7 +84,7 @@ TEST(SyncPeerTest, MakeMessageCarriesUnackedWindow) {
 
 TEST(SyncPeerTest, NoNewInfoMeansNoMessage) {
   SyncPeer a(0, test_config());
-  EXPECT_FALSE(a.make_message(0).has_value());  // nothing submitted, nothing to ack
+  EXPECT_FALSE(a.make_message(1, 0).has_value());  // nothing submitted, nothing to ack
 }
 
 TEST(SyncPeerTest, UnackedInputsAreResentEveryFlush) {
@@ -92,8 +92,8 @@ TEST(SyncPeerTest, UnackedInputsAreResentEveryFlush) {
   // messages re-carry the same window.
   SyncPeer a(0, test_config());
   a.submit_local(0, make_input(9, 0));
-  const auto m1 = a.make_message(0);
-  const auto m2 = a.make_message(milliseconds(20));
+  const auto m1 = a.make_message(1, 0);
+  const auto m2 = a.make_message(1, milliseconds(20));
   ASSERT_TRUE(m1 && m2);
   EXPECT_EQ(m1->first_frame, m2->first_frame);
   EXPECT_EQ(m1->inputs, m2->inputs);
@@ -104,16 +104,16 @@ TEST(SyncPeerTest, AckShrinksTheWindow) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   for (FrameNo f = 0; f < 4; ++f) a.submit_local(f, 0);
-  const auto m = a.make_message(0);
+  const auto m = a.make_message(1, 0);
   ASSERT_TRUE(m);
   b.ingest(*m, 0);
-  const auto ack = b.make_message(1);  // carries ack_frame = 9
+  const auto ack = b.make_message(0, 1);  // carries ack_frame = 9
   ASSERT_TRUE(ack);
   EXPECT_EQ(ack->ack_frame, 9);
   a.ingest(*ack, 1);
-  EXPECT_EQ(a.last_ack_frame(), 9);
+  EXPECT_EQ(a.last_ack_frame(1), 9);
   a.submit_local(4, make_input(5, 0));
-  const auto m2 = a.make_message(2);
+  const auto m2 = a.make_message(1, 2);
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->first_frame, 10);  // only the new frame
   EXPECT_EQ(m2->inputs.size(), 1u);
@@ -123,21 +123,21 @@ TEST(SyncPeerTest, PureAckWhenNothingToSend) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   b.submit_local(0, make_input(0, 3));
-  a.ingest(*b.make_message(0), 0);
+  a.ingest(*b.make_message(0, 0), 0);
   // a has nothing local to send but owes an ack.
-  const auto m = a.make_message(1);
+  const auto m = a.make_message(1, 1);
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(m->inputs.empty());
   EXPECT_EQ(m->ack_frame, 6);
   // And once sent, silence until something changes.
-  EXPECT_FALSE(a.make_message(2).has_value());
+  EXPECT_FALSE(a.make_message(1, 2).has_value());
 }
 
 TEST(SyncPeerTest, DuplicateIngestIsIdempotent) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   a.submit_local(0, make_input(0x42, 0));
-  const auto m = a.make_message(0);
+  const auto m = a.make_message(1, 0);
   ASSERT_TRUE(m);
   b.ingest(*m, 0);
   b.ingest(*m, 1);  // duplicated datagram
@@ -150,9 +150,9 @@ TEST(SyncPeerTest, ReorderedOldMessageDoesNotRegress) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   a.submit_local(0, make_input(1, 0));
-  const auto old_msg = a.make_message(0);
+  const auto old_msg = a.make_message(1, 0);
   a.submit_local(1, make_input(2, 0));
-  const auto new_msg = a.make_message(milliseconds(20));
+  const auto new_msg = a.make_message(1, milliseconds(20));
   ASSERT_TRUE(old_msg && new_msg);
   b.ingest(*new_msg, 0);
   EXPECT_EQ(b.last_rcv_frame(0), 7);
@@ -176,7 +176,7 @@ TEST(SyncPeerTest, WindowCapRespected) {
   cfg.max_inputs_per_message = 10;
   SyncPeer a(0, cfg);
   for (FrameNo f = 0; f < 50; ++f) a.submit_local(f, 0);
-  const auto m = a.make_message(0);
+  const auto m = a.make_message(1, 0);
   ASSERT_TRUE(m);
   EXPECT_EQ(m->inputs.size(), 10u);
 }
@@ -189,12 +189,12 @@ TEST(SyncPeerTest, RttEstimateFromEchoes) {
   for (FrameNo f = 0; f < 30; ++f) {
     a.submit_local(f, 0);
     b.submit_local(f, 0);
-    if (auto m = a.make_message(now)) b.ingest(*m, now + owd);
-    if (auto m = b.make_message(now)) a.ingest(*m, now + owd);
+    if (auto m = a.make_message(1, now)) b.ingest(*m, now + owd);
+    if (auto m = b.make_message(0, now)) a.ingest(*m, now + owd);
     now += milliseconds(20);
   }
   // Echo scheme: rtt ≈ 2*owd (echo_hold subtracts the 20 ms turnaround).
-  EXPECT_NEAR(to_ms(a.rtt()), 60.0, 8.0);
+  EXPECT_NEAR(to_ms(a.rtt(1)), 60.0, 8.0);
   EXPECT_GT(a.stats().rtt_samples, 0u);
 }
 
@@ -203,11 +203,27 @@ TEST(SyncPeerTest, RemoteObsTracksMasterProgress) {
   EXPECT_FALSE(slave.remote_obs().valid);
   SyncPeer master(0, test_config());
   master.submit_local(0, 0);
-  slave.ingest(*master.make_message(0), milliseconds(33));
+  slave.ingest(*master.make_message(1, 0), milliseconds(33));
   const auto obs = slave.remote_obs();
   EXPECT_TRUE(obs.valid);
-  EXPECT_EQ(obs.last_rcv_frame, 6);  // includes local lag
+  EXPECT_EQ(slave.last_rcv_frame(0), 6);  // includes local lag...
+  EXPECT_EQ(obs.master_frame, 0);         // ...which the observation removes
   EXPECT_EQ(obs.rcv_time, milliseconds(33));
+}
+
+TEST(SyncPeerTest, RemoteObsSubtractsTheLagThePeerRunsWith) {
+  // Algorithm 4's MasterFrame must use the lag the session actually runs
+  // with. After a renegotiated lag (adaptive lag, or rollback's input
+  // delay) the observation follows it; the pacer never sees BufFrame, so
+  // it cannot subtract a stale one.
+  SyncPeer master(0, test_config());
+  SyncPeer slave(1, test_config());
+  ASSERT_TRUE(master.set_buf_frames(2));
+  ASSERT_TRUE(slave.set_buf_frames(2));
+  for (FrameNo f = 0; f < 5; ++f) master.submit_local(f, 0);
+  slave.ingest(*master.make_message(1, 0), milliseconds(10));
+  EXPECT_EQ(slave.last_rcv_frame(0), 6);
+  EXPECT_EQ(slave.remote_obs().master_frame, 4);  // the master's newest frame
 }
 
 TEST(SyncPeerTest, ZeroRttLoopbackIsARealSample) {
@@ -216,19 +232,19 @@ TEST(SyncPeerTest, ZeroRttLoopbackIsARealSample) {
   // `rtt_samples` never reflected reality. A 0 ns sample must count.
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
-  EXPECT_FALSE(a.has_rtt_sample());
+  EXPECT_FALSE(a.rtt_estimator(1).has_sample());
   Time now = 0;
   for (FrameNo f = 0; f < 10; ++f) {
     a.submit_local(f, 0);
     b.submit_local(f, 0);
-    if (auto m = a.make_message(now)) b.ingest(*m, now);  // zero delay
-    if (auto m = b.make_message(now)) a.ingest(*m, now);
+    if (auto m = a.make_message(1, now)) b.ingest(*m, now);  // zero delay
+    if (auto m = b.make_message(0, now)) a.ingest(*m, now);
     now += milliseconds(20);
   }
-  EXPECT_TRUE(a.has_rtt_sample());
-  EXPECT_EQ(a.rtt(), 0);  // measured ~0, NOT "unmeasured"
+  EXPECT_TRUE(a.rtt_estimator(1).has_sample());
+  EXPECT_EQ(a.rtt(1), 0);  // measured ~0, NOT "unmeasured"
   EXPECT_GE(a.stats().rtt_samples, 3u);
-  EXPECT_EQ(a.stats().rtt_samples, a.rtt_estimator().sample_count());
+  EXPECT_EQ(a.stats().rtt_samples, a.rtt_estimator(1).sample_count());
 }
 
 TEST(SyncPeerTest, ZeroRttDoesNotReseedTheEstimator) {
@@ -238,16 +254,16 @@ TEST(SyncPeerTest, ZeroRttDoesNotReseedTheEstimator) {
   SyncPeer a(0, test_config());
   SyncPeer b(1, test_config());
   a.submit_local(0, 0);
-  b.ingest(*a.make_message(0), 0);
-  a.ingest(*b.make_message(0), 0);  // echo round-trip: 0 ns sample
-  ASSERT_TRUE(a.has_rtt_sample());
-  ASSERT_EQ(a.rtt(), 0);
+  b.ingest(*a.make_message(1, 0), 0);
+  a.ingest(*b.make_message(0, 0), 0);  // echo round-trip: 0 ns sample
+  ASSERT_TRUE(a.rtt_estimator(1).has_sample());
+  ASSERT_EQ(a.rtt(1), 0);
   // Second round-trip suddenly takes 40 ms.
   a.submit_local(1, 0);
-  b.ingest(*a.make_message(milliseconds(20)), milliseconds(20));
-  a.ingest(*b.make_message(milliseconds(20)), milliseconds(60));
+  b.ingest(*a.make_message(1, milliseconds(20)), milliseconds(20));
+  a.ingest(*b.make_message(0, milliseconds(20)), milliseconds(60));
   EXPECT_EQ(a.stats().rtt_samples, 2u);
-  EXPECT_EQ(a.rtt(), milliseconds(40) / 8);  // smoothed, not re-seeded
+  EXPECT_EQ(a.rtt(1), milliseconds(40) / 8);  // smoothed, not re-seeded
 }
 
 // ---- adaptive retransmission (RTO timer + redundancy tail) -------------------
@@ -263,13 +279,13 @@ SyncConfig adaptive_config(int redundancy = 0) {
 TEST(SyncPeerAdaptiveTest, NoBlindResendBeforeRtoFires) {
   SyncPeer a(0, adaptive_config());
   a.submit_local(0, make_input(7, 0));
-  const auto m1 = a.make_message(0);
+  const auto m1 = a.make_message(1, 0);
   ASSERT_TRUE(m1);
   EXPECT_EQ(m1->inputs.size(), 1u);
   // Flush ticks before the 100 ms RTO: nothing new => silence, where the
   // paper policy would re-send the window every 20 ms.
-  EXPECT_FALSE(a.make_message(milliseconds(20)).has_value());
-  EXPECT_FALSE(a.make_message(milliseconds(40)).has_value());
+  EXPECT_FALSE(a.make_message(1, milliseconds(20)).has_value());
+  EXPECT_FALSE(a.make_message(1, milliseconds(40)).has_value());
   EXPECT_EQ(a.stats().inputs_retransmitted, 0u);
   EXPECT_EQ(a.stats().rto_fires, 0u);
 }
@@ -277,15 +293,15 @@ TEST(SyncPeerAdaptiveTest, NoBlindResendBeforeRtoFires) {
 TEST(SyncPeerAdaptiveTest, RtoFireResendsWindowAndBacksOff) {
   SyncPeer a(0, adaptive_config());
   a.submit_local(0, make_input(7, 0));
-  ASSERT_TRUE(a.make_message(0).has_value());  // arms the timer (RTO 100 ms)
-  const auto r1 = a.make_message(milliseconds(100));
+  ASSERT_TRUE(a.make_message(1, 0).has_value());  // arms the timer (RTO 100 ms)
+  const auto r1 = a.make_message(1, milliseconds(100));
   ASSERT_TRUE(r1.has_value());  // timer fired: full window resend
   EXPECT_EQ(r1->inputs.size(), 1u);
   EXPECT_EQ(a.stats().rto_fires, 1u);
   EXPECT_EQ(a.stats().inputs_retransmitted, 1u);
   // Backoff doubled: next fire no earlier than 100+200 ms.
-  EXPECT_FALSE(a.make_message(milliseconds(200)).has_value());
-  const auto r2 = a.make_message(milliseconds(300));
+  EXPECT_FALSE(a.make_message(1, milliseconds(200)).has_value());
+  const auto r2 = a.make_message(1, milliseconds(300));
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(a.stats().rto_fires, 2u);
 }
@@ -294,14 +310,14 @@ TEST(SyncPeerAdaptiveTest, AckProgressResetsBackoff) {
   SyncPeer a(0, adaptive_config());
   SyncPeer b(1, adaptive_config());
   a.submit_local(0, make_input(7, 0));
-  ASSERT_TRUE(a.make_message(0).has_value());
-  ASSERT_TRUE(a.make_message(milliseconds(100)).has_value());  // RTO fire #1
-  EXPECT_EQ(a.current_rto(), milliseconds(200));               // backed off 2x
+  ASSERT_TRUE(a.make_message(1, 0).has_value());
+  ASSERT_TRUE(a.make_message(1, milliseconds(100)).has_value());  // RTO fire #1
+  EXPECT_EQ(a.current_rto(1), milliseconds(200));               // backed off 2x
   // The peer finally acks everything.
-  b.ingest(*a.make_message(milliseconds(300)), milliseconds(300));
-  a.ingest(*b.make_message(milliseconds(300)), milliseconds(300));
-  EXPECT_EQ(a.last_ack_frame(), 6);
-  EXPECT_EQ(a.current_rto(), a.rtt_estimator().rto());  // backoff reset
+  b.ingest(*a.make_message(1, milliseconds(300)), milliseconds(300));
+  a.ingest(*b.make_message(0, milliseconds(300)), milliseconds(300));
+  EXPECT_EQ(a.last_ack_frame(1), 6);
+  EXPECT_EQ(a.current_rto(1), a.rtt_estimator(1).rto());  // backoff reset
 }
 
 TEST(SyncPeerAdaptiveTest, RedundantTailRecarriesLastKFlushes) {
@@ -311,14 +327,14 @@ TEST(SyncPeerAdaptiveTest, RedundantTailRecarriesLastKFlushes) {
   // lost burst and would stall out a full RTO).
   SyncPeer a(0, adaptive_config(/*redundancy=*/2));
   for (FrameNo f = 0; f < 3; ++f) a.submit_local(f, make_input(static_cast<std::uint8_t>(f), 0));
-  const auto m1 = a.make_message(0);
+  const auto m1 = a.make_message(1, 0);
   ASSERT_TRUE(m1);
   EXPECT_EQ(m1->inputs.size(), 3u);  // frames 6..8, all new
   EXPECT_EQ(a.stats().redundant_inputs_sent, 0u);
   // Next flush: the 3-input burst from flush 1 is still inside the
   // 2-flush protection window and is re-carried whole with the new input.
   a.submit_local(3, make_input(3, 0));
-  const auto m2 = a.make_message(milliseconds(20));
+  const auto m2 = a.make_message(1, milliseconds(20));
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->first_frame, 6);
   EXPECT_EQ(m2->inputs.size(), 4u);
@@ -327,13 +343,13 @@ TEST(SyncPeerAdaptiveTest, RedundantTailRecarriesLastKFlushes) {
   // Third flush: the burst is still covered (sent at flush 1, re-sent at
   // flushes 2 and 3 = K re-sends)...
   a.submit_local(4, make_input(4, 0));
-  const auto m3 = a.make_message(milliseconds(40));
+  const auto m3 = a.make_message(1, milliseconds(40));
   ASSERT_TRUE(m3);
   EXPECT_EQ(m3->first_frame, 6);
   EXPECT_EQ(m3->inputs.size(), 5u);
   // ...and ages out of the tail on the fourth.
   a.submit_local(5, make_input(5, 0));
-  const auto m4 = a.make_message(milliseconds(60));
+  const auto m4 = a.make_message(1, milliseconds(60));
   ASSERT_TRUE(m4);
   EXPECT_EQ(m4->first_frame, 9);  // flush-1 frames 6..8 no longer carried
   EXPECT_EQ(m4->inputs.size(), 3u);
@@ -344,10 +360,10 @@ TEST(SyncPeerAdaptiveTest, RedundancyTailNeverCrossesTheAck) {
   SyncPeer a(0, adaptive_config(/*redundancy=*/4));
   SyncPeer b(1, adaptive_config(/*redundancy=*/4));
   a.submit_local(0, 0);
-  b.ingest(*a.make_message(0), 0);
-  a.ingest(*b.make_message(0), 0);  // acks frame 6
+  b.ingest(*a.make_message(1, 0), 0);
+  a.ingest(*b.make_message(0, 0), 0);  // acks frame 6
   a.submit_local(1, make_input(1, 0));
-  const auto m = a.make_message(milliseconds(20));
+  const auto m = a.make_message(1, milliseconds(20));
   ASSERT_TRUE(m);
   EXPECT_EQ(m->first_frame, 7);  // tail cannot reach the acked frame 6
   EXPECT_EQ(m->inputs.size(), 1u);
@@ -359,7 +375,7 @@ TEST(SyncPeerTest, SetBufFramesReinitializesTheWindow) {
   SyncPeer a(0, test_config());
   ASSERT_TRUE(a.set_buf_frames(12));
   EXPECT_EQ(a.config().buf_frames, 12);
-  EXPECT_EQ(a.last_ack_frame(), 11);
+  EXPECT_EQ(a.last_ack_frame(1), 11);
   for (FrameNo f = 0; f < 12; ++f) {
     a.submit_local(f, make_input(0xFF, 0));
     ASSERT_TRUE(a.ready()) << "frame " << f;
@@ -377,7 +393,7 @@ TEST(SyncPeerTest, SetBufFramesRefusedOnceProtocolMoved) {
   SyncPeer b(1, test_config());
   SyncPeer c(0, test_config());
   c.submit_local(0, 0);
-  b.ingest(*c.make_message(0), 0);
+  b.ingest(*c.make_message(1, 0), 0);
   EXPECT_FALSE(b.set_buf_frames(12));  // remote input already merged
 
   SyncPeer d(0, test_config());
@@ -386,67 +402,77 @@ TEST(SyncPeerTest, SetBufFramesRefusedOnceProtocolMoved) {
 }
 
 // ---- desync detection ----------------------------------------------------------
+// Every case runs with two sites (the paper) and four (the mesh): the hash
+// tripwire, including parking a hash from a peer that is ahead, is the
+// same code for any site count.
 
-TEST(SyncPeerDesyncTest, AgreementKeepsQuiet) {
-  SyncPeer a(0, test_config());
-  SyncPeer b(1, test_config());
+class SyncPeerDesyncTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Sites, SyncPeerDesyncTest, ::testing::Values(2, 4),
+                         [](const ::testing::TestParamInfo<int>& sites) {
+                           return std::to_string(sites.param) + "sites";
+                         });
+
+TEST_P(SyncPeerDesyncTest, AgreementKeepsQuiet) {
+  SyncPeer a(0, test_config(), GetParam());
+  SyncPeer b(1, test_config(), GetParam());
   for (FrameNo f = 0; f <= 120; ++f) {
     a.note_state_hash(f, 1000 + static_cast<std::uint64_t>(f));
     b.note_state_hash(f, 1000 + static_cast<std::uint64_t>(f));
   }
   a.submit_local(120, 0);
-  b.ingest(*a.make_message(0), 0);
+  b.ingest(*a.make_message(1, 0), 0);
   EXPECT_FALSE(b.desync_detected());
 }
 
-TEST(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsAhead) {
-  SyncPeer a(0, test_config());
-  SyncPeer b(1, test_config());
+TEST_P(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsAhead) {
+  SyncPeer a(0, test_config(), GetParam());
+  SyncPeer b(1, test_config(), GetParam());
   a.note_state_hash(60, 0xAAAA);
   b.note_state_hash(60, 0xBBBB);  // b already executed frame 60 differently
   a.submit_local(0, 0);
-  b.ingest(*a.make_message(0), 0);
+  b.ingest(*a.make_message(1, 0), 0);
   EXPECT_TRUE(b.desync_detected());
   EXPECT_EQ(b.desync_frame(), 60);
 }
 
-TEST(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsBehind) {
-  SyncPeer a(0, test_config());
-  SyncPeer b(1, test_config());
+TEST_P(SyncPeerDesyncTest, MismatchFlagsWhenReceiverIsBehind) {
+  SyncPeer a(0, test_config(), GetParam());
+  SyncPeer b(1, test_config(), GetParam());
   a.note_state_hash(60, 0xAAAA);
   a.submit_local(0, 0);
-  b.ingest(*a.make_message(0), 0);  // b has not reached frame 60 yet
+  b.ingest(*a.make_message(1, 0), 0);  // b has not reached frame 60 yet
   EXPECT_FALSE(b.desync_detected());
   b.note_state_hash(60, 0xBBBB);  // now it gets there, with a different hash
   EXPECT_TRUE(b.desync_detected());
   EXPECT_EQ(b.desync_frame(), 60);
 }
 
-TEST(SyncPeerDesyncTest, OnlyIntervalFramesAreHashed) {
+TEST_P(SyncPeerDesyncTest, OnlyIntervalFramesAreHashed) {
   SyncConfig cfg = test_config();
   cfg.hash_interval = 60;
-  SyncPeer a(0, cfg);
+  SyncPeer a(0, cfg, GetParam());
   a.note_state_hash(59, 0x1);  // not an interval frame: ignored
   a.submit_local(0, 0);
-  const auto m = a.make_message(0);
+  const auto m = a.make_message(1, 0);
   ASSERT_TRUE(m);
   EXPECT_EQ(m->hash_frame, -1);
   a.note_state_hash(60, 0x2);
-  const auto m2 = a.make_message(milliseconds(20));
+  const auto m2 = a.make_message(1, milliseconds(20));
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->hash_frame, 60);
   EXPECT_EQ(m2->state_hash, 0x2u);
 }
 
-TEST(SyncPeerDesyncTest, DisabledByZeroInterval) {
+TEST_P(SyncPeerDesyncTest, DisabledByZeroInterval) {
   SyncConfig cfg = test_config();
   cfg.hash_interval = 0;
-  SyncPeer a(0, cfg);
-  SyncPeer b(1, cfg);
+  SyncPeer a(0, cfg, GetParam());
+  SyncPeer b(1, cfg, GetParam());
   a.note_state_hash(60, 0xAAAA);
   b.note_state_hash(60, 0xBBBB);
   a.submit_local(0, 0);
-  b.ingest(*a.make_message(0), 0);
+  b.ingest(*a.make_message(1, 0), 0);
   EXPECT_FALSE(b.desync_detected());
 }
 
@@ -547,7 +573,7 @@ TEST_P(SyncPeerPropertyTest, LockstepInvariantUnderHostileNetwork) {
       }
       if (now >= next_flush[s]) {
         next_flush[s] = now + milliseconds(20);
-        if (auto m = peer.make_message(now)) out_ch.send(now, *m);
+        if (auto m = peer.make_message(1 - s, now)) out_ch.send(now, *m);
       }
     }
   }
