@@ -20,7 +20,10 @@
 //     baseline (skipped under sanitizers: absolute wall-clock there
 //     measures the sanitizer, not the interpreter);
 //   * the sparse scenario must not regress: its fast step stays within
-//     1.5x of the reference step.
+//     1.5x of the reference step;
+//   * agent86:skirmish rollback restore (load_state of a snapshot 4 frames
+//     old + the v2 digest after it) at most a third of the full v1 rehash:
+//     restore must dirty only the pages the rollback actually changes.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -231,6 +234,9 @@ struct ScenarioPoint {
   double speedup = 0;  ///< digest v1 / v2
   double save_state_ns = 0;
   double save_state_into_ns = 0;
+  /// load_state of the snapshot taken 4 frames earlier + state_digest(2):
+  /// the fixed cost of one rollback before re-simulation starts.
+  double restore_digest_ns = 0;
   /// Derived capacity figure: 60 Hz emulation sessions one core could in
   /// principle sustain on step cost alone (1e9 / step_ns / 60).
   double sessions_per_core = 0;
@@ -249,6 +255,28 @@ double time_digest(emu::IDeterministicGame& m, int version, int frames) {
   return static_cast<double>(total) / frames;
 }
 
+/// Mean ns of a rollback restore: snapshot, step 4 frames (digesting each,
+/// like the drivers), then time load_state(snapshot) + state_digest(2);
+/// re-simulating the 4 frames moves the machine on for the next round.
+double time_restore_digest(emu::IDeterministicGame& m, int rounds) {
+  constexpr int kDepth = 4;
+  std::vector<std::uint8_t> snap;
+  std::int64_t total = 0;
+  for (int i = 0; i < rounds; ++i) {
+    m.save_state_into(snap);
+    for (int j = 0; j < kDepth; ++j) {
+      m.step_frame(0x0404);
+      benchmark::DoNotOptimize(m.state_digest(2));
+    }
+    const std::int64_t t0 = now_ns();
+    benchmark::DoNotOptimize(m.load_state(snap));
+    benchmark::DoNotOptimize(m.state_digest(2));
+    total += now_ns() - t0;
+    for (int j = 0; j < kDepth; ++j) m.step_frame(0x0404);
+  }
+  return static_cast<double>(total) / rounds;
+}
+
 double time_steps(emu::IDeterministicGame& m, int frames) {
   const std::int64_t t0 = now_ns();
   for (int i = 0; i < frames; ++i) m.step_frame(0x0404);
@@ -264,6 +292,7 @@ ScenarioPoint measure_scenario(const std::string& name, const MachineFactory& ma
   constexpr int kRefSteps = 400;  // the reference is ~5x slower per frame
   constexpr int kDigestFrames = 800;
   constexpr int kSnaps = 800;
+  constexpr int kRestores = 300;
 
   ScenarioPoint p;
   p.scenario = name;
@@ -299,6 +328,7 @@ ScenarioPoint measure_scenario(const std::string& name, const MachineFactory& ma
     }
     p.save_state_into_ns = static_cast<double>(now_ns() - t0) / kSnaps;
   }
+  p.restore_digest_ns = time_restore_digest(*fast, kRestores);
   if (fast->faulted() || (ref && ref->faulted())) p.scenario += " [FAULTED]";
   return p;
 }
@@ -330,15 +360,15 @@ int run_json_mode(const std::string& path) {
   std::printf("=== EMU-PERF: interpreter, digest + snapshot costs ===\n");
   std::printf("dispatch: %s%s\n\n", emu::dispatch_backend_name(),
               kSanitized ? " (sanitized build)" : "");
-  std::printf("%-10s %10s %12s %8s %12s %12s %8s %13s %10s\n", "scenario",
+  std::printf("%-10s %10s %12s %8s %12s %12s %8s %13s %13s %10s\n", "scenario",
               "step ns", "ref step ns", "speedup", "digest v1 ns",
-              "digest v2 ns", "speedup", "save_state ns", "sess/core");
+              "digest v2 ns", "speedup", "save_state ns", "restore ns", "sess/core");
   std::string scenario_csv;
   for (const auto& p : points) {
-    std::printf("%-10s %10.0f %12.0f %7.1fx %12.0f %12.0f %7.1fx %13.0f %10.0f\n",
+    std::printf("%-10s %10.0f %12.0f %7.1fx %12.0f %12.0f %7.1fx %13.0f %13.0f %10.0f\n",
                 p.scenario.c_str(), p.step_ns, p.ref_step_ns, p.step_speedup,
                 p.digest_v1_ns, p.digest_v2_ns, p.speedup, p.save_state_ns,
-                p.sessions_per_core);
+                p.restore_digest_ns, p.sessions_per_core);
     if (!scenario_csv.empty()) scenario_csv += ',';
     scenario_csv += p.scenario;
   }
@@ -372,6 +402,8 @@ int run_json_mode(const std::string& path) {
   series("save_state_ns", [](const ScenarioPoint& p) { return p.save_state_ns; });
   series("save_state_into_ns",
          [](const ScenarioPoint& p) { return p.save_state_into_ns; });
+  series("restore_digest_ns",
+         [](const ScenarioPoint& p) { return p.restore_digest_ns; });
   series("sessions_per_core",
          [](const ScenarioPoint& p) { return p.sessions_per_core; });
   w.end_object();
@@ -427,6 +459,10 @@ int run_json_mode(const std::string& path) {
                 "agent86:skirmish digest speedup (v1/v2) %.1fx >= 5x",
                 a86->speedup);
   gates.push_back({buf, a86->speedup >= 5.0});
+  std::snprintf(buf, sizeof buf,
+                "agent86:skirmish restore+digest %.0f ns <= full v1 rehash %.0f ns / 3",
+                a86->restore_digest_ns, a86->digest_v1_ns);
+  gates.push_back({buf, a86->restore_digest_ns <= a86->digest_v1_ns / 3.0});
   if (!kSanitized) {
     std::snprintf(buf, sizeof buf,
                   "agent86:skirmish step %.0f ns <= %.0f ns budget",

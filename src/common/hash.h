@@ -3,6 +3,7 @@
 // output-state sequence) by comparing these 64-bit digests per frame.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -44,5 +45,12 @@ class Fnv1a64 {
 
 /// One-shot convenience.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
+
+/// fnv1a64 of many equal-length blocks: out[i] = fnv1a64({blocks[i],
+/// block_len}), bit for bit. Each chain is latency-bound on its multiply,
+/// so four independent chains are run interleaved to fill the multiplier.
+/// `out` must hold at least blocks.size() values.
+void fnv1a64_blocks(std::span<const std::uint8_t* const> blocks, std::size_t block_len,
+                    std::span<std::uint64_t> out);
 
 }  // namespace rtct

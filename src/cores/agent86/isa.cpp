@@ -7,19 +7,6 @@
 
 namespace rtct::a86 {
 
-const char* reg_name(Reg r) {
-  switch (r) {
-    case AX: return "AX";
-    case BX: return "BX";
-    case CX: return "CX";
-    case DX: return "DX";
-    case SI: return "SI";
-    case DI: return "DI";
-    case SP: return "SP";
-    default: return "R?";
-  }
-}
-
 const char* fault_name(Fault f) {
   switch (f) {
     case Fault::kNone: return "none";

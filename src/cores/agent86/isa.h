@@ -37,18 +37,9 @@ inline constexpr std::uint16_t kInputBase = 0xF800;
 inline constexpr std::uint16_t kInitialSp = 0xF7FE;
 inline constexpr std::uint16_t kDefaultOrg = 0x0100;
 
-/// Dirty-page geometry: 256 pages x 256 B cover the whole address space
-/// (agent86 has no immutable region, so page 0 of page_digests() is
-/// address 0x0000).
-inline constexpr std::size_t kPageSize = 256;
-inline constexpr int kPageShift = 8;
-inline constexpr std::size_t kNumPages = kMemSize / kPageSize;  // 256
-
 /// Register file: seven 16-bit registers. SP is architectural (PUSH/POP/
 /// CALL/RET use it) but otherwise general-purpose; LOOP hardwires CX.
 enum Reg : std::uint8_t { AX = 0, BX, CX, DX, SI, DI, SP, kNumRegs };
-
-const char* reg_name(Reg r);
 
 /// Opcode bytes. Operand encodings (instruction length includes opcode):
 ///   rr    one byte, (first operand << 4) | second operand

@@ -1,11 +1,9 @@
 #include "src/cores/agent86/machine.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
-#include "src/emu/machine.h"  // shared state-digest cross-check switch
 
 namespace rtct::a86 {
 
@@ -32,21 +30,7 @@ void Agent86Machine::reset() {
   frame_ = 0;
   last_frame_cycles_ = 0;
   debug_log_.clear();
-  mark_all_pages_dirty();
-}
-
-void Agent86Machine::mark_all_pages_dirty() const { dirty_.fill(~0ull); }
-
-void Agent86Machine::refresh_dirty_pages() const {
-  for (std::size_t wi = 0; wi < dirty_.size(); ++wi) {
-    std::uint64_t bits = dirty_[wi];
-    dirty_[wi] = 0;
-    while (bits != 0) {
-      const auto page = wi * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      page_digest_[page] = fnv1a64({mem_.data() + page * kPageSize, kPageSize});
-    }
-  }
+  pages_.mark_all_dirty();
 }
 
 void Agent86Machine::step_frame(InputWord input) {
@@ -333,37 +317,23 @@ int Agent86Machine::run_frame(int cycle_budget) {
 
 std::uint64_t Agent86Machine::state_hash() const {
   Fnv1a64 h;
-  visit_cpu_state(h);
-  h.update_u16(tone_);
-  h.update_u64(static_cast<std::uint64_t>(frame_));
+  visit_header(h);
   h.update(std::span<const std::uint8_t>(mem_.data(), kMemSize));
   return h.digest();
 }
 
 std::uint64_t Agent86Machine::state_digest(int version) const {
   if (version <= 1) return state_hash();
-  refresh_dirty_pages();
   Fnv1a64 h;
   h.update_u8(2);  // domain-separate v2 from the v1 hash, like AC16
-  visit_cpu_state(h);
-  h.update_u16(tone_);
-  h.update_u64(static_cast<std::uint64_t>(frame_));
-  for (const std::uint64_t d : page_digest_) h.update_u64(d);
-  if (emu::state_digest_cross_check()) {
-    for (std::size_t page = 0; page < kNumPages; ++page) {
-      const std::uint64_t full = fnv1a64({mem_.data() + page * kPageSize, kPageSize});
-      if (full != page_digest_[page]) {
-        emu::note_state_digest_cross_check_failure();
-        break;
-      }
-    }
-  }
+  visit_header(h);
+  pages_.fold_into(h, mem_.data());
   return h.digest();
 }
 
 std::vector<std::uint64_t> Agent86Machine::page_digests() const {
-  refresh_dirty_pages();
-  return {page_digest_.begin(), page_digest_.end()};
+  const auto digests = pages_.refresh(mem_.data());
+  return {digests.begin(), digests.end()};
 }
 
 std::vector<std::uint8_t> Agent86Machine::save_state() const {
@@ -377,9 +347,7 @@ void Agent86Machine::save_state_into(std::vector<std::uint8_t>& out) const {
   ByteWriter w(std::move(out));
   w.u8(kStateVersion);
   w.u64(checksum_);
-  visit_cpu_state(w);
-  w.u16(tone_);
-  w.u64(static_cast<std::uint64_t>(frame_));
+  visit_header(w);
   w.bytes(std::span<const std::uint8_t>(mem_.data(), kMemSize));
   out = w.take();
 }
@@ -398,7 +366,8 @@ bool Agent86Machine::load_state(std::span<const std::uint8_t> data) {
   const auto frame = static_cast<FrameNo>(r.u64());
   const auto ram = r.bytes(kMemSize);
   if (!r.ok() || !r.at_end()) return false;
-  if (fault > static_cast<std::uint8_t>(Fault::kBudgetExceeded)) return false;
+  // save_state only ever writes ZF/SF/CF and a Fault enumerator.
+  if (fault > static_cast<std::uint8_t>(Fault::kBudgetExceeded) || flags > 7) return false;
 
   std::copy(std::begin(regs), std::end(regs), std::begin(regs_));
   ip_ = ip;
@@ -408,9 +377,8 @@ bool Agent86Machine::load_state(std::span<const std::uint8_t> data) {
   fault_ = static_cast<Fault>(fault);
   tone_ = tone;
   frame_ = frame;
-  std::copy(ram.begin(), ram.end(), mem_.begin());
+  pages_.restore(mem_.data(), ram);
   debug_log_.clear();
-  mark_all_pages_dirty();  // the snapshot bypassed write8
   return true;
 }
 

@@ -9,7 +9,6 @@
 // frame into a deterministic fault instead of a hang.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,6 +17,7 @@
 #include "src/common/types.h"
 #include "src/cores/agent86/isa.h"
 #include "src/emu/game.h"
+#include "src/emu/page_digest.h"
 
 namespace rtct::a86 {
 
@@ -80,8 +80,7 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
 
   void write8(std::uint16_t addr, std::uint8_t v) {
     mem_[addr] = v;
-    const auto page = static_cast<std::size_t>(addr) >> kPageShift;
-    dirty_[page >> 6] |= 1ull << (page & 63);
+    pages_.mark_dirty(addr);
   }
   void write16(std::uint16_t addr, std::uint16_t v) {
     write8(addr, static_cast<std::uint8_t>(v & 0xFF));
@@ -95,16 +94,16 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   /// Runs until HLT, a fault, or the cycle budget. Returns cycles used.
   int run_frame(int cycle_budget);
 
+  /// Everything but memory, in hash/digest/snapshot order.
   template <typename Sink>
-  void visit_cpu_state(Sink&& sink) const {
+  void visit_header(Sink&& sink) const {
     for (const auto r : regs_) sink.u16(r);
     sink.u16(ip_);
     sink.u8(static_cast<std::uint8_t>((zf_ ? 1 : 0) | (sf_ ? 2 : 0) | (cf_ ? 4 : 0)));
     sink.u8(static_cast<std::uint8_t>(fault_));
+    sink.u16(tone_);
+    sink.u64(static_cast<std::uint64_t>(frame_));
   }
-
-  void mark_all_pages_dirty() const;
-  void refresh_dirty_pages() const;
 
   Program program_;
   std::uint64_t checksum_;  ///< cached Program::checksum()
@@ -119,10 +118,9 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   int last_frame_cycles_ = 0;
   std::vector<std::uint16_t> debug_log_;
 
-  // Incremental-digest cache, same shape as ArcadeMachine's but covering
-  // all 256 pages (there is no immutable region to exclude).
-  mutable std::array<std::uint64_t, kNumPages> page_digest_{};
-  mutable std::array<std::uint64_t, kNumPages / 64> dirty_{};
+  // Incremental-digest cache over the whole 64 KiB (no immutable region,
+  // so page 0 of page_digests() is address 0x0000).
+  mutable emu::PageDigestCache pages_{kMemSize / emu::kPageSize};
 };
 
 }  // namespace rtct::a86

@@ -39,15 +39,6 @@ void Cpu::reset(std::uint16_t entry, std::uint16_t initial_sp) {
   fault_ = Fault::kNone;
 }
 
-Cpu::RawState Cpu::raw_state() const {
-  RawState s{};
-  for (int i = 0; i < kNumRegs; ++i) s.regs[i] = regs_[i];
-  s.pc = pc_;
-  s.flags = static_cast<std::uint8_t>((z_ ? 1 : 0) | (n_ ? 2 : 0) | (c_ ? 4 : 0));
-  s.fault = static_cast<std::uint8_t>(fault_);
-  return s;
-}
-
 void Cpu::restore(const RawState& s) {
   for (int i = 0; i < kNumRegs; ++i) regs_[i] = s.regs[i];
   pc_ = s.pc;

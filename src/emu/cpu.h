@@ -71,7 +71,6 @@ class Cpu {
   [[nodiscard]] Fault fault() const { return fault_; }
   [[nodiscard]] std::uint16_t pc() const { return pc_; }
   [[nodiscard]] std::uint16_t reg(int i) const { return regs_[i]; }
-  void set_reg(int i, std::uint16_t v) { regs_[i] = v; }
   [[nodiscard]] bool flag_z() const { return z_; }
   [[nodiscard]] bool flag_n() const { return n_; }
   [[nodiscard]] bool flag_c() const { return c_; }
@@ -90,7 +89,6 @@ class Cpu {
     std::uint8_t flags;
     std::uint8_t fault;
   };
-  [[nodiscard]] RawState raw_state() const;
   void restore(const RawState& s);
 
  private:

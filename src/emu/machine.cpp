@@ -1,8 +1,6 @@
 #include "src/emu/machine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
@@ -13,25 +11,7 @@ namespace {
 constexpr std::size_t kMemSize = 0x10000;
 constexpr std::size_t kMutableSize = kMemSize - kRamBase;  // 32 KiB RAM+FB
 constexpr std::size_t kDebugLogCap = 4096;
-
-std::atomic<bool> g_cross_check{false};
-std::atomic<std::uint64_t> g_cross_check_failures{0};
 }  // namespace
-
-void set_state_digest_cross_check(bool on) {
-  g_cross_check.store(on, std::memory_order_relaxed);
-  if (on) g_cross_check_failures.store(0, std::memory_order_relaxed);
-}
-
-bool state_digest_cross_check() { return g_cross_check.load(std::memory_order_relaxed); }
-
-std::uint64_t state_digest_cross_check_failures() {
-  return g_cross_check_failures.load(std::memory_order_relaxed);
-}
-
-void note_state_digest_cross_check_failure() {
-  g_cross_check_failures.fetch_add(1, std::memory_order_relaxed);
-}
 
 ArcadeMachine::ArcadeMachine(Rom rom, MachineConfig cfg)
     : rom_(std::move(rom)),
@@ -50,24 +30,7 @@ void ArcadeMachine::reset() {
   frame_ = 0;
   last_frame_cycles_ = 0;
   debug_log_.clear();
-  mark_all_pages_dirty();
-}
-
-void ArcadeMachine::mark_all_pages_dirty() const {
-  dirty_.fill(~0ull);
-}
-
-void ArcadeMachine::refresh_dirty_pages() const {
-  for (std::size_t wi = 0; wi < dirty_.size(); ++wi) {
-    std::uint64_t bits = dirty_[wi];
-    dirty_[wi] = 0;
-    while (bits != 0) {
-      const auto page = wi * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      page_digest_[page] =
-          fnv1a64({mem_.data() + kRamBase + page * kPageSize, kPageSize});
-    }
-  }
+  pages_.mark_all_dirty();
 }
 
 void ArcadeMachine::step_frame(InputWord input) {
@@ -76,7 +39,7 @@ void ArcadeMachine::step_frame(InputWord input) {
   last_frame_cycles_ =
       cfg_.reference_interpreter
           ? cpu_.run_frame(*this, cfg_.cycles_per_frame)
-          : cpu_.run_frame_fast(mem_.data(), dirty_.data(), *this, predecode_,
+          : cpu_.run_frame_fast(mem_.data(), pages_.dirty_bitmap(), *this, predecode_,
                                 cfg_.cycles_per_frame);
   ++frame_;
 }
@@ -111,40 +74,23 @@ void ArcadeMachine::out_port(std::uint8_t port, std::uint16_t v) {
 
 std::uint64_t ArcadeMachine::state_hash() const {
   Fnv1a64 h;
-  cpu_.visit_state(h);
-  h.update_u16(input_latch_);
-  h.update_u16(tone_);
-  h.update_u64(static_cast<std::uint64_t>(frame_));
+  visit_header(h);
   h.update(std::span<const std::uint8_t>(mem_.data() + kRamBase, kMutableSize));
   return h.digest();
 }
 
 std::uint64_t ArcadeMachine::state_digest(int version) const {
   if (version <= 1) return state_hash();
-  refresh_dirty_pages();
   Fnv1a64 h;
   h.update_u8(2);  // domain-separate the v2 digest from the v1 hash
-  cpu_.visit_state(h);
-  h.update_u16(input_latch_);
-  h.update_u16(tone_);
-  h.update_u64(static_cast<std::uint64_t>(frame_));
-  for (const std::uint64_t d : page_digest_) h.update_u64(d);
-  if (g_cross_check.load(std::memory_order_relaxed)) {
-    for (std::size_t page = 0; page < kNumMutablePages; ++page) {
-      const std::uint64_t full =
-          fnv1a64({mem_.data() + kRamBase + page * kPageSize, kPageSize});
-      if (full != page_digest_[page]) {
-        g_cross_check_failures.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-  }
+  visit_header(h);
+  pages_.fold_into(h, mem_.data() + kRamBase);
   return h.digest();
 }
 
 std::vector<std::uint64_t> ArcadeMachine::page_digests() const {
-  refresh_dirty_pages();
-  return {page_digest_.begin(), page_digest_.end()};
+  const auto digests = pages_.refresh(mem_.data() + kRamBase);
+  return {digests.begin(), digests.end()};
 }
 
 std::vector<std::uint8_t> ArcadeMachine::save_state() const {
@@ -158,10 +104,7 @@ void ArcadeMachine::save_state_into(std::vector<std::uint8_t>& out) const {
   ByteWriter w(std::move(out));
   w.u8(kStateVersion);
   w.u64(rom_.checksum());
-  cpu_.visit_state(w);
-  w.u16(input_latch_);
-  w.u16(tone_);
-  w.u64(static_cast<std::uint64_t>(frame_));
+  visit_header(w);
   w.bytes(std::span<const std::uint8_t>(mem_.data() + kRamBase, kMutableSize));
   out = w.take();
 }
@@ -181,15 +124,16 @@ bool ArcadeMachine::load_state(std::span<const std::uint8_t> data) {
   const auto frame = static_cast<FrameNo>(r.u64());
   const auto ram = r.bytes(kMutableSize);
   if (!r.ok() || !r.at_end()) return false;
+  // save_state only ever writes Z/N/C and a Fault enumerator.
+  if (cs.fault > static_cast<std::uint8_t>(Fault::kBrk) || cs.flags > 7) return false;
 
   cpu_.restore(cs);
   input_latch_ = latch;
   tone_ = tone;
   frame_ = frame;
-  std::copy(ram.begin(), ram.end(), mem_.begin() + kRamBase);
+  pages_.restore(mem_.data() + kRamBase, ram);
   // ROM region is already in place; debug log is diagnostic state only.
   debug_log_.clear();
-  mark_all_pages_dirty();  // the snapshot bypassed write8
   return true;
 }
 

@@ -10,7 +10,6 @@
 //   0xAC00–0xFFFF  general RAM (stack grows down from 0xFFFE)
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "src/common/types.h"
 #include "src/emu/cpu.h"
 #include "src/emu/game.h"
+#include "src/emu/page_digest.h"
 #include "src/emu/rom.h"
 
 namespace rtct::emu {
@@ -29,17 +29,6 @@ inline constexpr int kFbCols = 64;
 inline constexpr int kFbRows = 48;
 inline constexpr std::size_t kFbSize = kFbCols * kFbRows;  // 3072 bytes
 inline constexpr std::uint16_t kInitialSp = 0xFFFE;
-
-/// Full-rehash cross-check for the incremental digest. When enabled, every
-/// state_digest(2) additionally rehashes all 128 pages from scratch and
-/// counts any disagreement with the dirty-page cache — the chaos soak runs
-/// with this on and asserts the failure counter stays zero.
-void set_state_digest_cross_check(bool on);
-[[nodiscard]] bool state_digest_cross_check();
-[[nodiscard]] std::uint64_t state_digest_cross_check_failures();
-/// Bumps the shared failure counter. Exposed so other cores (agent86)
-/// honour the same cross-check switch and report into the same counter.
-void note_state_digest_cross_check_failure();
 
 struct MachineConfig {
   /// Per-frame cycle budget; exceeding it faults (a ROM must HALT once per
@@ -112,8 +101,7 @@ class ArcadeMachine final : public IDeterministicGame,
   bool write8(std::uint16_t addr, std::uint8_t v) override {
     if (addr < kRamBase) return false;  // ROM region
     mem_[addr] = v;
-    const auto page = static_cast<std::size_t>(addr - kRamBase) >> kPageShift;
-    dirty_[page >> 6] |= 1ull << (page & 63);
+    pages_.mark_dirty(addr - kRamBase);
     return true;
   }
   std::uint16_t in_port(std::uint8_t port) override;
@@ -121,8 +109,14 @@ class ArcadeMachine final : public IDeterministicGame,
 
   static constexpr std::uint8_t kStateVersion = 1;
 
-  void mark_all_pages_dirty() const;
-  void refresh_dirty_pages() const;
+  /// Everything but memory, in hash/digest/snapshot order.
+  template <typename Sink>
+  void visit_header(Sink&& sink) const {
+    cpu_.visit_state(sink);
+    sink.u16(input_latch_);
+    sink.u16(tone_);
+    sink.u64(static_cast<std::uint64_t>(frame_));
+  }
 
   Rom rom_;
   /// Decode-once instruction cache of the (immutable) ROM region; never
@@ -138,11 +132,9 @@ class ArcadeMachine final : public IDeterministicGame,
   int last_frame_cycles_ = 0;
   std::vector<std::uint16_t> debug_log_;
 
-  // Incremental-digest cache: per-page FNV digests of the mutable region
-  // plus a dirty bitmap maintained by write8. Both are refreshed lazily
-  // inside the (const) digest call, hence mutable.
-  mutable std::array<std::uint64_t, kNumMutablePages> page_digest_{};
-  mutable std::array<std::uint64_t, kNumMutablePages / 64> dirty_{};
+  // Incremental-digest cache over the mutable region, dirtied by write8
+  // and refreshed lazily inside the (const) digest call, hence mutable.
+  mutable PageDigestCache pages_{kNumMutablePages};
 };
 
 }  // namespace rtct::emu

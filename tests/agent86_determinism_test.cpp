@@ -14,7 +14,7 @@
 #include "src/common/hash.h"
 #include "src/cores/agent86/games.h"
 #include "src/cores/agent86/machine.h"
-#include "src/emu/machine.h"  // cross-check switch
+#include "src/emu/page_digest.h"  // cross-check switch
 
 namespace rtct::a86 {
 namespace {
@@ -91,9 +91,9 @@ TEST_P(Agent86Determinism, SingleByteMutationChangesDigests) {
   auto pages_before = m->page_digests();
   m->poke(0x0401, static_cast<std::uint8_t>(m->peek(0x0401) ^ 0x80));  // revert
   auto pages_after = m->page_digests();
-  ASSERT_EQ(pages_before.size(), kNumPages);
+  ASSERT_EQ(pages_before.size(), kMemSize / emu::kPageSize);
   int diffs = 0;
-  for (std::size_t i = 0; i < kNumPages; ++i) {
+  for (std::size_t i = 0; i < pages_before.size(); ++i) {
     if (pages_before[i] != pages_after[i]) {
       ++diffs;
       EXPECT_EQ(i, 4u);
@@ -110,8 +110,8 @@ TEST_P(Agent86Determinism, IncrementalDigestMatchesFullRehash) {
     m->step_frame(scripted_input(rng));
     (void)m->state_digest(2);
     if (f == 60) {
-      // A snapshot load invalidates every cached page — the classic
-      // missed-invalidation hazard the cross-check exists to catch.
+      // A snapshot load must invalidate every cached page it changes —
+      // the classic missed-invalidation hazard the cross-check catches.
       const auto snap = m->save_state();
       ASSERT_TRUE(m->load_state(snap));
     }
@@ -119,9 +119,9 @@ TEST_P(Agent86Determinism, IncrementalDigestMatchesFullRehash) {
   // Independent spot check: page digests equal a hand-computed FNV.
   const auto pages = m->page_digests();
   for (const std::size_t page : {std::size_t{0}, std::size_t{4}, std::size_t{0xB8}}) {
-    std::vector<std::uint8_t> raw(kPageSize);
-    for (std::size_t i = 0; i < kPageSize; ++i) {
-      raw[i] = m->peek(static_cast<std::uint16_t>(page * kPageSize + i));
+    std::vector<std::uint8_t> raw(emu::kPageSize);
+    for (std::size_t i = 0; i < emu::kPageSize; ++i) {
+      raw[i] = m->peek(static_cast<std::uint16_t>(page * emu::kPageSize + i));
     }
     EXPECT_EQ(pages[page], fnv1a64(raw)) << "page " << page;
   }

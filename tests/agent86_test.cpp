@@ -280,6 +280,83 @@ TEST(Agent86Machine, RenderableExposesVideoPage) {
   EXPECT_EQ(r->framebuffer().size(), kFbSize);
 }
 
+// ---- restore + incremental digest ------------------------------------------
+
+// Snapshot header offsets: version(1) + checksum(8) + regs + ip(2).
+constexpr std::size_t kSnapFlags = 9 + 2 * kNumRegs + 2;
+constexpr std::size_t kSnapFault = kSnapFlags + 1;
+
+InputWord next_input(std::uint32_t& rng) {
+  rng = rng * 1664525u + 1013904223u;
+  return static_cast<InputWord>(rng >> 16);
+}
+
+TEST(Agent86Restore, AfterDivergenceMatchesFreshLoad) {
+  emu::set_state_digest_cross_check(true);
+  auto m = make_machine("skirmish");
+  std::uint32_t rng = 15;
+  for (int i = 0; i < 40; ++i) {
+    m->step_frame(next_input(rng));
+    (void)m->state_digest(2);
+  }
+  const auto snap = m->save_state();
+  for (int i = 0; i < 6; ++i) {
+    m->step_frame(next_input(rng));
+    (void)m->state_digest(2);
+  }
+  m->poke(0x4000, static_cast<std::uint8_t>(m->peek(0x4000) + 1));
+  (void)m->state_digest(2);
+  ASSERT_TRUE(m->load_state(snap));
+  auto fresh = make_machine("skirmish");
+  ASSERT_TRUE(fresh->load_state(snap));
+  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  EXPECT_EQ(m->page_digests(), fresh->page_digests());
+  emu::set_state_digest_cross_check(false);
+  EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
+}
+
+TEST(Agent86Restore, RehashesDirtyPageWhoseBytesMatchSnapshot) {
+  // Written, digested, written back: the page is dirty with a stale cached
+  // digest while its bytes equal the snapshot. Restore must keep it dirty.
+  emu::set_state_digest_cross_check(true);
+  auto m = make_machine("pong");
+  std::uint32_t rng = 3;
+  for (int i = 0; i < 5; ++i) m->step_frame(next_input(rng));
+  (void)m->state_digest(2);
+  const auto snap = m->save_state();
+  const std::uint8_t orig = m->peek(0x4123);
+  m->poke(0x4123, static_cast<std::uint8_t>(orig ^ 0x5A));
+  (void)m->state_digest(2);
+  m->poke(0x4123, orig);
+  ASSERT_TRUE(m->load_state(snap));
+  auto fresh = make_machine("pong");
+  ASSERT_TRUE(fresh->load_state(snap));
+  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  emu::set_state_digest_cross_check(false);
+  EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
+}
+
+TEST(Agent86Restore, RejectedSnapshotLeavesStateUntouched) {
+  auto m = make_machine("havoc");
+  std::uint32_t rng = 8;
+  for (int i = 0; i < 3; ++i) m->step_frame(next_input(rng));
+  const auto old_snap = m->save_state();
+  for (int i = 0; i < 3; ++i) m->step_frame(next_input(rng));
+  const auto before = m->save_state();
+  const auto digest = m->state_digest(2);
+  ASSERT_NE(old_snap, before);
+
+  auto bad_fault = old_snap;
+  bad_fault[kSnapFault] = static_cast<std::uint8_t>(Fault::kBudgetExceeded) + 1;
+  auto bad_flags = old_snap;
+  bad_flags[kSnapFlags] |= 0x08;
+  for (const auto& bad : {bad_fault, bad_flags}) {
+    EXPECT_FALSE(m->load_state(bad));
+    EXPECT_EQ(m->save_state(), before);
+    EXPECT_EQ(m->state_digest(2), digest);
+  }
+}
+
 // ---- bundled games ---------------------------------------------------------
 
 TEST(Agent86Games, CatalogueIsConsistent) {

@@ -13,6 +13,7 @@
 #include "src/core/replay.h"
 #include "src/core/session.h"
 #include "src/cores/agent86/isa.h"
+#include "src/emu/isa.h"
 #include "src/cores/registry.h"
 #include "src/emu/game.h"
 #include "src/testbed/experiment.h"
@@ -277,7 +278,7 @@ TEST(Agent86BisectTest, MutatedKeyframeNamesRealPageAddress) {
   for (core::ReplayKeyframe& kf : b.keyframes_mutable()) {
     if (kf.frame != 449) continue;
     const std::size_t header = kf.state.size() - a86::kMemSize;
-    kf.state[header + kPage * a86::kPageSize + 7] ^= 0x01;
+    kf.state[header + kPage * emu::kPageSize + 7] ^= 0x01;
     auto scratch = make_game("agent86:skirmish");
     ASSERT_TRUE(scratch->load_state(kf.state));
     kf.digest = scratch->state_digest(b.digest_version());
@@ -293,7 +294,7 @@ TEST(Agent86BisectTest, MutatedKeyframeNamesRealPageAddress) {
   EXPECT_EQ(rep.diverged_side, "b");
   ASSERT_EQ(rep.pages.size(), 1u);
   EXPECT_EQ(rep.pages[0].page, kPage);
-  EXPECT_EQ(rep.pages[0].addr, static_cast<std::uint32_t>(kPage * a86::kPageSize));
+  EXPECT_EQ(rep.pages[0].addr, static_cast<std::uint32_t>(kPage * emu::kPageSize));
   EXPECT_NE(rep.pages[0].digest_a, rep.pages[0].digest_b);
 }
 

@@ -297,6 +297,88 @@ TEST(MachineTest, SnapshotRestoresFrameCounterAndTone) {
   EXPECT_EQ(m.tone(), tone);
 }
 
+// Snapshot header offsets: version(1) + ROM checksum(8) + regs + pc(2).
+constexpr std::size_t kSnapFlags = 9 + 2 * kNumRegs + 2;
+constexpr std::size_t kSnapFault = kSnapFlags + 1;
+
+TEST(MachineTest, RestoreAfterDivergenceMatchesFreshLoad) {
+  // A replica that speculated on other inputs and was poked must, after
+  // loading an older snapshot, digest exactly like a fresh machine that
+  // loaded the same snapshot: restore dirties every page it changes.
+  set_state_digest_cross_check(true);
+  auto m = games::make_machine("torture");
+  Rng rng(15);
+  for (int i = 0; i < 40; ++i) {
+    m->step_frame(static_cast<InputWord>(rng.next_u64()));
+    (void)m->state_digest(2);
+  }
+  const auto snap = m->save_state();
+  for (int i = 0; i < 6; ++i) {
+    m->step_frame(static_cast<InputWord>(rng.next_u64()));
+    (void)m->state_digest(2);
+  }
+  m->poke(0x9000, static_cast<std::uint8_t>(m->peek(0x9000) + 1));
+  (void)m->state_digest(2);
+  ASSERT_TRUE(m->load_state(snap));
+  auto fresh = games::make_machine("torture");
+  ASSERT_TRUE(fresh->load_state(snap));
+  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  EXPECT_EQ(m->page_digests(), fresh->page_digests());
+  set_state_digest_cross_check(false);
+  EXPECT_EQ(state_digest_cross_check_failures(), 0u);
+}
+
+TEST(MachineTest, RestoreRehashesDirtyPageWhoseBytesMatchSnapshot) {
+  // A page written and digested, then written back to its snapshot bytes,
+  // is dirty with a stale cached digest. Restore skips copying it (bytes
+  // equal) but must keep it dirty: restore ORs into the bitmap, it does
+  // not replace the bitmap with "pages that differed".
+  set_state_digest_cross_check(true);
+  ArcadeMachine m(make_rom(kEchoBody));
+  for (int i = 0; i < 5; ++i) m.step_frame(make_input(static_cast<std::uint8_t>(i), 2));
+  (void)m.state_digest(2);
+  const auto snap = m.save_state();
+  const std::uint8_t orig = m.peek(0x9123);
+  m.poke(0x9123, static_cast<std::uint8_t>(orig ^ 0x5A));
+  (void)m.state_digest(2);  // caches the poked page's digest
+  m.poke(0x9123, orig);     // bytes equal the snapshot again, page dirty
+  ASSERT_TRUE(m.load_state(snap));
+  ArcadeMachine fresh(make_rom(kEchoBody));
+  ASSERT_TRUE(fresh.load_state(snap));
+  EXPECT_EQ(m.state_digest(2), fresh.state_digest(2));
+  set_state_digest_cross_check(false);
+  EXPECT_EQ(state_digest_cross_check_failures(), 0u);
+}
+
+TEST(MachineTest, LoadStateRejectsFaultAndFlagsSaveStateNeverWrites) {
+  // save_state writes only Z/N/C (bits 0..2) and a Fault enumerator; any
+  // other value must be refused before the machine is touched, so the
+  // memory image and the digest stay those of the current state.
+  ArcadeMachine m(make_rom(kEchoBody));
+  for (int i = 0; i < 3; ++i) m.step_frame(make_input(static_cast<std::uint8_t>(i), 1));
+  const auto old_snap = m.save_state();
+  for (int i = 0; i < 3; ++i) m.step_frame(make_input(9, static_cast<std::uint8_t>(i)));
+  const auto before = m.save_state();
+  const auto digest = m.state_digest(2);
+  ASSERT_NE(old_snap, before);
+
+  auto bad_fault = old_snap;
+  bad_fault[kSnapFault] = static_cast<std::uint8_t>(Fault::kBrk) + 1;
+  auto bad_flags = old_snap;
+  bad_flags[kSnapFlags] |= 0x08;
+  for (const auto& bad : {bad_fault, bad_flags}) {
+    EXPECT_FALSE(m.load_state(bad));
+    EXPECT_EQ(m.save_state(), before);
+    EXPECT_EQ(m.state_digest(2), digest);
+  }
+  // The top valid values still load.
+  auto ok = old_snap;
+  ok[kSnapFault] = static_cast<std::uint8_t>(Fault::kBrk);
+  ok[kSnapFlags] = 0x07;
+  EXPECT_TRUE(m.load_state(ok));
+  EXPECT_EQ(m.fault(), Fault::kBrk);
+}
+
 TEST(MachineTest, CyclesPerFrameConfigurable) {
   MachineConfig tight;
   tight.cycles_per_frame = 8;  // too small for the echo loop
