@@ -48,13 +48,16 @@ echo "==> portable-dispatch leg (RTCT_THREADED_DISPATCH=OFF: switch backend)"
 # suites. Correctness only — the perf gates run on computed-goto builds
 # (the sanitized full suite above, and plain ctest for absolute numbers).
 # golden_digest_test pins every game's v1/v2 digest chains, so this leg
-# proves the switch backend produces the same digests as the others.
+# proves the switch backend produces the same digests as the others;
+# golden_timeline_test pins whole testbed timelines, which embed state
+# digests, so the switch backend must reproduce those too.
 cmake -B build-portable -S . -DRTCT_THREADED_DISPATCH=OFF >/dev/null
 cmake --build build-portable -j "$(nproc)" --target \
       cpu_test cpu_property_test machine_test games_test emu_differential_test \
-      cores_test agent86_test agent86_determinism_test golden_digest_test
+      cores_test agent86_test agent86_determinism_test golden_digest_test \
+      golden_timeline_test
 ctest --test-dir build-portable \
-      -R "cpu_test|cpu_property_test|machine_test|games_test|emu_differential_test|cores_test|agent86_test|agent86_determinism_test|golden_digest_test" \
+      -R "cpu_test|cpu_property_test|machine_test|games_test|emu_differential_test|cores_test|agent86_test|agent86_determinism_test|golden_digest_test|golden_timeline_test" \
       --output-on-failure
 
 echo "==> rollback latency bench (lockstep-vs-rollback acceptance gate)"

@@ -57,9 +57,9 @@ class FrameTimeline {
   [[nodiscard]] const std::vector<FrameRecord>& records() const { return records_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Rewrites one record's state hash in place. Rollback drivers record a
-  /// frame's *speculative* digest when it executes and backfill the
-  /// canonical confirmed digest once the frame is final, so archived
+  /// Rewrites one record's state hash in place. Under rollback FrameLoop
+  /// records a frame's *speculative* digest when it executes and backfills
+  /// the canonical confirmed digest once the frame is final, so archived
   /// timelines always compare confirmed state.
   void set_state_hash(std::size_t i, std::uint64_t hash) {
     records_[i].state_hash = hash;

@@ -51,12 +51,12 @@ class FramePacer {
   /// was pushed into AdjustTimeDelta instead).
   [[nodiscard]] Dur end_frame(Time now);
 
-  /// Wall-clock loops (RealtimeSession): the wait end_frame granted ended
-  /// at `now`. A late wake is carried into AdjustTimeDelta exactly like an
-  /// overrun, so the frame schedule stays anchored instead of slipping by
-  /// the lateness every frame. No-op after an overrun (its deficit is
-  /// already carried), for an early or exact wake, and under kNaive. The
-  /// virtual-time testbed sleeps exactly and never calls this.
+  /// FrameLoop, once the wait end_frame granted ended at `now`. A late
+  /// wake (wall-clock timer slack) is carried into AdjustTimeDelta exactly
+  /// like an overrun, so the frame schedule stays anchored instead of
+  /// slipping by the lateness every frame. No-op after an overrun (its
+  /// deficit is already carried), for an early or exact wake (the
+  /// virtual-time testbed always wakes exactly), and under kNaive.
   void note_wake(Time now);
 
   [[nodiscard]] Dur adjust_time_delta() const { return adjust_; }

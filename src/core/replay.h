@@ -4,7 +4,7 @@
 // session is just (game identity, sync parameters, merged input per
 // frame). Recording that is ~2 bytes/frame and replaying it reproduces the
 // session bit-exactly — the standard netplay facility for sharing matches
-// and debugging desyncs offline. The drivers record the *merged* inputs
+// and debugging desyncs offline. FrameLoop records the *merged* inputs
 // after SyncInput, so a replay file from either site of a match is
 // identical.
 //

@@ -38,7 +38,7 @@ void RollbackSession::execute_frame(FrameNo f) {
   s.remote_actual = actual.has_value();
 }
 
-RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_input) {
+std::uint64_t RollbackSession::advance_frame(InputWord local_input) {
   const FrameNo f = executed_;
   peer_.submit_local(f, local_input);
   reconcile();
@@ -48,7 +48,7 @@ RollbackSession::FrameOutcome RollbackSession::advance_frame(InputWord local_inp
   const Slot& s = slot(f);
   if (!s.remote_actual) ++rstats_.predicted_frames;
   advance_confirmed();
-  return FrameOutcome{f, s.digest, !s.remote_actual};
+  return s.digest;
 }
 
 void RollbackSession::reconcile() {

@@ -76,12 +76,6 @@ class RollbackSession {
   /// pre-frame-0 restore point, so construct before executing any frame.
   RollbackSession(SyncPeer& peer, emu::IDeterministicGame& game, SyncConfig cfg);
 
-  struct FrameOutcome {
-    FrameNo frame = -1;
-    std::uint64_t digest = 0;  ///< speculative digest after this frame
-    bool predicted = false;    ///< remote input was predicted, not actual
-  };
-
   /// False when speculation has reached the ring bound (executing one more
   /// frame would evict the restore target); the driver must then drain the
   /// network and reconcile() until the confirmed watermark advances.
@@ -93,13 +87,13 @@ class RollbackSession {
   /// input for frame `current_frame() + delay` to the peer, reconciles any
   /// newly arrived remote inputs (rolling back if a prediction proved
   /// wrong), then executes the next frame speculatively and snapshots it.
-  /// Pre: can_advance().
-  FrameOutcome advance_frame(InputWord local_input);
+  /// Returns the frame's speculative digest. Pre: can_advance().
+  std::uint64_t advance_frame(InputWord local_input);
 
   /// Applies newly arrived remote inputs without executing a new frame:
   /// verifies predictions, rolls back and re-simulates on the first
-  /// mismatch, and advances the confirmed watermark. Called by drivers
-  /// after draining datagrams into the peer (advance_frame also calls it).
+  /// mismatch, and advances the confirmed watermark. FrameLoop calls it
+  /// after a network wait (advance_frame also calls it).
   void reconcile();
 
   // ---- progress ----------------------------------------------------------

@@ -8,6 +8,11 @@
 // BufFrame until every other site's input for it has arrived, so staggered
 // boots are absorbed exactly like the paper's start deviation, with
 // Algorithm 4 rate-locking every slave to site 0.
+//
+// Each site is the two-site harness's simulated site (see experiment.h)
+// with one endpoint per peer: the same core::FrameLoop, the same sender
+// and receivers. Mesh players own a 4-bit direction nibble (quadtron's
+// partition), so each site's masher bytes are masked to it at any N.
 #pragma once
 
 #include <functional>
@@ -21,6 +26,7 @@
 #include "src/core/sync_peer.h"
 #include "src/emu/game.h"
 #include "src/net/netem.h"
+#include "src/testbed/experiment.h"
 
 namespace rtct::testbed {
 
@@ -52,18 +58,13 @@ struct MeshExperimentConfig {
   Dur watchdog = 0;
 
   [[nodiscard]] Dur effective_watchdog() const {
-    if (watchdog > 0) return watchdog;
-    return seconds(10) + frames * sync.frame_period() * 5;
+    return watchdog_deadline(watchdog, frames, sync);
   }
 };
 
-struct MeshSiteResult {
-  core::FrameTimeline timeline;
-  core::SyncPeerStats sync_stats;
-  FrameNo frames_completed = 0;
-  bool aborted = false;
-  std::string failure_reason;
-};
+/// A mesh site reports what a two-site one does (it never fails a
+/// handshake: there is none).
+using MeshSiteResult = SiteResult;
 
 struct MeshExperimentResult {
   std::vector<MeshSiteResult> sites;
