@@ -276,8 +276,6 @@ std::optional<InputWord> SyncPeer::remote_input(FrameNo f) const {
   return out;
 }
 
-bool SyncPeer::fully_acked() const { return min_acked() >= last_rcv_[my_site_]; }
-
 SiteId SyncPeer::straggler() const {
   SiteId worst = kNoSite;
   FrameNo lo = last_rcv_[my_site_];

@@ -292,6 +292,15 @@ TEST(MeshExperimentTest, FourPlayersConvergeAtFullSpeed) {
     EXPECT_NEAR(r.avg_frame_time_ms(s), 16.667, 0.4) << "site " << s;
   }
   EXPECT_LT(r.worst_synchrony_ms(), 15.0);
+  // Mesh sites run the two-site frame loop: each frame records the
+  // modelled compute cost, and every site records the same replay.
+  for (const auto& site : r.sites) {
+    for (const auto& rec : site.timeline.records()) {
+      ASSERT_EQ(rec.compute, cfg.frame_compute_time) << "frame " << rec.frame;
+    }
+    EXPECT_EQ(site.replay.frames(), static_cast<FrameNo>(cfg.frames));
+    EXPECT_EQ(site.replay.serialize(), r.sites[0].replay.serialize());
+  }
 }
 
 TEST(MeshExperimentTest, SurvivesLossAndJitterAcrossTheMesh) {

@@ -87,7 +87,8 @@ struct Rig {
   void drain(FrameNo frames) {
     for (int i = 0; i < 1000; ++i) {
       if (a_.confirmed_frames() >= frames && b_.confirmed_frames() >= frames &&
-          pa_.fully_acked() && pb_.fully_acked()) {
+          pa_.last_ack_frame(1) >= pa_.last_rcv_frame(0) &&
+          pb_.last_ack_frame(0) >= pb_.last_rcv_frame(1)) {
         return;
       }
       now_ += milliseconds(16);
