@@ -14,7 +14,7 @@
 //     words, so hold-last is right most of the time);
 //   * every executed frame's machine state is snapshotted into a fixed
 //     ring (save_state_into reuses each slot's buffer, no allocation in
-//     steady state; traced at ~4–6 µs per 64 KiB agent86 snapshot);
+//     steady state; traced at ~3 µs per 64 KiB agent86 snapshot);
 //   * when an actual remote input arrives and disagrees with what was
 //     used, the session restores the snapshot *before* the first
 //     mispredicted frame and re-simulates forward with the corrected

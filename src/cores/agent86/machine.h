@@ -7,15 +7,22 @@
 // arithmetic wraps mod 2^16, inputs are latched into the 0xF800 block
 // before the frame runs, and the per-frame cycle budget turns a runaway
 // frame into a deterministic fault instead of a hang.
+//
+// Two interpreter backends run a frame: the fast path dispatches on the
+// program's shared predecode table (predecode.h) wherever the page still
+// matches the image, and the reference byte-fetch interpreter is kept as
+// the oracle it is differentially tested against (emu_differential_test).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/cores/agent86/isa.h"
+#include "src/cores/agent86/predecode.h"
 #include "src/emu/game.h"
 #include "src/emu/page_digest.h"
 
@@ -25,6 +32,13 @@ struct MachineConfig {
   /// Per-frame cycle budget; exceeding it faults (a program must HLT once
   /// per frame, like real-mode code spinning on vsync).
   int cycles_per_frame = 50000;
+  /// Run frames on the original byte-fetch interpreter instead of the
+  /// predecoded fast path. The two backends are bit-identical in
+  /// observable state (enforced by emu_differential_test, the golden
+  /// digest table and the chaos soak); the reference exists as the oracle
+  /// and for A/B benching. Host configuration only: not serialized, not
+  /// hashed. Same name and meaning as emu::MachineConfig's.
+  bool reference_interpreter = false;
 };
 
 class Agent86Machine final : public emu::IDeterministicGame, public emu::IRenderableGame {
@@ -81,6 +95,7 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   void write8(std::uint16_t addr, std::uint8_t v) {
     mem_[addr] = v;
     pages_.mark_dirty(addr);
+    code_valid_[addr >> 14] &= ~(1ull << ((addr >> emu::kPageShift) & 63));
   }
   void write16(std::uint16_t addr, std::uint16_t v) {
     write8(addr, static_cast<std::uint8_t>(v & 0xFF));
@@ -92,7 +107,10 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   }
 
   /// Runs until HLT, a fault, or the cycle budget. Returns cycles used.
+  /// The reference interpreter: fetches and decodes byte by byte.
   int run_frame(int cycle_budget);
+  /// The same contract on the fast path (see machine.cpp).
+  int run_frame_fast(int cycle_budget);
 
   /// Everything but memory, in hash/digest/snapshot order.
   template <typename Sink>
@@ -117,6 +135,13 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   FrameNo frame_ = 0;
   int last_frame_cycles_ = 0;
   std::vector<std::uint16_t> debug_log_;
+
+  /// Decoded image, shared by every machine running this program.
+  std::shared_ptr<const PredecodedProgram> predecode_;
+  /// Bit p set: page p still holds its image bytes, so predecode_'s
+  /// entries for it are current. Cleared by write8; recomputed by
+  /// load_state for the pages the restore wrote.
+  PredecodedProgram::PageBits code_valid_{};
 
   // Incremental-digest cache over the whole 64 KiB (no immutable region,
   // so page 0 of page_digests() is address 0x0000).

@@ -51,12 +51,17 @@ void PageDigestCache::fold_into(Fnv1a64& h, const std::uint8_t* mem) {
   }
 }
 
-void PageDigestCache::restore(std::uint8_t* mem, std::span<const std::uint8_t> snapshot) {
+PageDigestCache::PageBits PageDigestCache::restore(std::uint8_t* mem,
+                                                   std::span<const std::uint8_t> snapshot) {
+  PageBits written{};
   for (std::size_t off = 0; off < snapshot.size(); off += kPageSize) {
     if (std::memcmp(mem + off, snapshot.data() + off, kPageSize) == 0) continue;
     std::memcpy(mem + off, snapshot.data() + off, kPageSize);
     mark_dirty(off);
+    const std::size_t page = off >> kPageShift;
+    written[page >> 6] |= 1ull << (page & 63);
   }
+  return written;
 }
 
 }  // namespace rtct::emu

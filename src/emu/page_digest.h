@@ -24,6 +24,8 @@ void set_state_digest_cross_check(bool on);
 class PageDigestCache {
  public:
   static constexpr std::size_t kMaxPages = 256;  ///< a full 64 KiB space
+  /// One bit per page, page p at word p / 64, bit p % 64.
+  using PageBits = std::array<std::uint64_t, kMaxPages / 64>;
 
   /// `num_pages`: a multiple of 64, at most kMaxPages; all start dirty.
   explicit PageDigestCache(std::size_t num_pages) : num_pages_(num_pages) { mark_all_dirty(); }
@@ -44,12 +46,13 @@ class PageDigestCache {
   void fold_into(Fnv1a64& h, const std::uint8_t* mem);
   /// Copies `snapshot` (the whole covered region) over `mem`, writing and
   /// dirtying only the pages whose bytes differ; dirty pages stay dirty.
-  void restore(std::uint8_t* mem, std::span<const std::uint8_t> snapshot);
+  /// Returns the pages it wrote (agent86 revalidates its predecode there).
+  PageBits restore(std::uint8_t* mem, std::span<const std::uint8_t> snapshot);
 
  private:
   std::size_t num_pages_;
   std::array<std::uint64_t, kMaxPages> digest_{};
-  std::array<std::uint64_t, kMaxPages / 64> dirty_{};
+  PageBits dirty_{};
 };
 
 }  // namespace rtct::emu

@@ -16,6 +16,7 @@
 
 #include "src/chaos/fault_script.h"
 #include "src/chaos/soak.h"
+#include "src/cores/agent86/games.h"
 #include "src/cores/registry.h"
 #include "src/emu/machine.h"
 #include "src/games/roms.h"
@@ -203,6 +204,55 @@ INSTANTIATE_TEST_SUITE_P(Agent86Topologies, Agent86ChaosSoak,
                                            Topology::kSpectator),
                          [](const auto& info) {
                            return std::string(topology_name(info.param));
+                         });
+
+// The agent86 twin of FastAndReferenceInterpretersAgreeUnderChaos, in
+// rollback mode: replicas alternate between the predecoded fast path and
+// the reference interpreter, so every restore and re-simulation crosses
+// backends (a snapshot saved by one backend is loaded into code pages the
+// other one decoded). Any divergence, or a stale predecoded page after a
+// restore, shows up as a two-site violation.
+class Agent86MixedBackendChaosSoak : public ::testing::TestWithParam<Topology> {};
+
+TEST_P(Agent86MixedBackendChaosSoak, RollbackAcrossMixedBackendsHoldsEveryInvariant) {
+  const Topology topology = GetParam();
+  emu::set_state_digest_cross_check(true);
+  int failures = 0;
+  std::uint64_t rollbacks = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + 8; ++seed) {
+    FaultScript script = generate_fault_script(seed, topology);
+    script.rollback = true;
+    testbed::ExperimentConfig cfg = lower_two_site(script);
+    auto counter = std::make_shared<int>(0);
+    cfg.game_factory = [counter]() -> std::unique_ptr<emu::IDeterministicGame> {
+      a86::MachineConfig mc;
+      mc.reference_interpreter = ((*counter)++ % 2) == 1;
+      return a86::make_machine("skirmish", mc);
+    };
+    const testbed::ExperimentResult r = testbed::run_experiment(cfg);
+    for (const auto& site : r.site) {
+      EXPECT_TRUE(site.rollback_mode) << "seed " << seed;
+      rollbacks += site.rollback_stats.rollbacks;
+    }
+    const auto violations = check_two_site(cfg, r);
+    if (!violations.empty()) {
+      ++failures;
+      ADD_FAILURE() << "seed " << seed << " on " << topology_name(topology)
+                    << " (agent86 rollback, mixed backends): " << violations.size()
+                    << " violation(s), first: " << violations[0].invariant << " — "
+                    << violations[0].detail;
+    }
+  }
+  emu::set_state_digest_cross_check(false);
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(rollbacks, 0u) << "no restore ran, so no backend crossing was tested";
+  EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Agent86MixedBackendTopologies, Agent86MixedBackendChaosSoak,
+                         ::testing::Values(Topology::kTwoSite, Topology::kSpectator),
+                         [](const auto& param_info) {
+                           return std::string(topology_name(param_info.param));
                          });
 
 TEST(ChaosSoakDeterminism, SameSeedYieldsByteIdenticalRepro) {

@@ -1,13 +1,14 @@
-// Differential equivalence: the fast AC16 interpreter (predecoded ROM,
-// devirtualized memory, threaded dispatch) against the reference
-// byte-fetch interpreter.
+// Differential equivalence: each core's fast interpreter against its
+// reference byte-fetch interpreter.
 //
-// The fast path is only admissible because it is bit-identical to the
+// A fast path is only admissible because it is bit-identical to the
 // reference in *observable* state. Every test here drives two machines —
 // one per backend — through the same inputs in lockstep and requires
 // per-frame agreement on the v2 state digest, the fault code, and the
-// cycle count, plus byte-identical save_state at the end. Coverage:
+// cycle count (agent86 adds the v1 hash, tone and debug log), plus
+// byte-identical save_state at the end.
 //
+// AC16 (predecoded ROM, devirtualized memory, threaded dispatch):
 //   * every bundled game ROM (the benign subset of the ISA)
 //   * structure-aware fuzzed ROMs (the hostile subset: wild jumps, ROM
 //     stores, runaway loops, invalid opcodes — see fuzz_rom.h)
@@ -17,13 +18,28 @@
 //     crossing the predecode limit into RAM, and self-modifying code
 //     running from RAM (including a store into the instruction stream
 //     currently being executed).
+//
+// agent86 (shared predecoded program pages, invalidated by stores):
+//   * the bundled games, straight and on a restore-heavy schedule
+//   * structure-aware random programs: self-modifying stores, wild
+//     targets, bad registers and opcodes, images near 0xFFFF
+//   * hand-written regressions: a store into the next instruction, a store
+//     into the tail page of a straddling instruction, restoring a snapshot
+//     whose code page was modified, PUSH SP, bad registers after the
+//     operand fetch, the budget landing exactly, and a ZF = SF = 1
+//     snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/cores/agent86/assembler.h"
+#include "src/cores/agent86/games.h"
+#include "src/cores/agent86/machine.h"
 #include "src/emu/assembler.h"
 #include "src/emu/cpu.h"
 #include "src/emu/fuzz_rom.h"
@@ -343,3 +359,475 @@ TEST(DispatchBackend, NameMatchesCompileTimeSelection) {
 
 }  // namespace
 }  // namespace rtct::emu
+
+// ===========================================================================
+// agent86: the predecoded fast path against the reference byte-fetch
+// interpreter. Per frame both backends must agree on the v2 digest, the v1
+// hash, the fault, the cycle count, the tone and the debug log, and their
+// save_state bytes must be identical at the end.
+
+namespace rtct::a86 {
+namespace {
+
+constexpr int kA86Budget = 50000;
+
+MachineConfig a86_cfg(bool reference, int cycles = kA86Budget) {
+  MachineConfig cfg;
+  cfg.cycles_per_frame = cycles;
+  cfg.reference_interpreter = reference;
+  return cfg;
+}
+
+Program must_assemble_a86(const char* source, const char* name) {
+  auto result = assemble(source, name);
+  EXPECT_TRUE(result.ok()) << result.error_text();
+  return std::move(result.program);
+}
+
+void expect_same_frame(const Agent86Machine& fast, const Agent86Machine& ref,
+                       const std::string& what, int f) {
+  ASSERT_EQ(fast.state_digest(2), ref.state_digest(2)) << what << ": v2 digest, frame " << f;
+  ASSERT_EQ(fast.state_hash(), ref.state_hash()) << what << ": v1 hash, frame " << f;
+  ASSERT_EQ(fast.fault(), ref.fault()) << what << ": fault, frame " << f;
+  ASSERT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles()) << what << ": cycles, frame " << f;
+  ASSERT_EQ(fast.tone(), ref.tone()) << what << ": tone, frame " << f;
+  ASSERT_EQ(fast.debug_log(), ref.debug_log()) << what << ": debug log, frame " << f;
+}
+
+/// Runs `frames` seeded frames on both backends. With `restore_every` > 0,
+/// every that many frames both machines load the snapshot taken
+/// `kDepth` frames earlier — each one the *other* backend's bytes — and
+/// re-step the frames in between, compared frame by frame as well.
+void expect_a86_equivalent(const Program& program, int frames, int cycles,
+                           std::uint64_t input_seed, const std::string& what,
+                           int restore_every = 0) {
+  constexpr int kDepth = 3;
+  Agent86Machine fast(program, a86_cfg(false, cycles));
+  Agent86Machine ref(program, a86_cfg(true, cycles));
+  Rng rng(input_seed);
+  std::vector<InputWord> in(static_cast<std::size_t>(frames));
+  for (auto& w : in) w = static_cast<InputWord>(rng.next_u64());
+  std::deque<std::vector<std::uint8_t>> snaps;  // snaps.back(): state before frame f
+  for (int f = 0; f < frames; ++f) {
+    snaps.push_back(fast.save_state());
+    ASSERT_EQ(snaps.back(), ref.save_state()) << what << ": snapshot before frame " << f;
+    if (snaps.size() > kDepth + 1) snaps.pop_front();
+    if (restore_every > 0 && f % restore_every == 0 && f >= kDepth) {
+      ASSERT_TRUE(fast.load_state(snaps.front())) << what;
+      ASSERT_TRUE(ref.load_state(snaps.front())) << what;
+      for (int j = f - kDepth; j < f; ++j) {
+        fast.step_frame(in[static_cast<std::size_t>(j)]);
+        ref.step_frame(in[static_cast<std::size_t>(j)]);
+        expect_same_frame(fast, ref, what + " (re-stepped)", j);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    fast.step_frame(in[static_cast<std::size_t>(f)]);
+    ref.step_frame(in[static_cast<std::size_t>(f)]);
+    expect_same_frame(fast, ref, what, f);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(fast.save_state(), ref.save_state()) << what;
+}
+
+// ---------------------------------------------------------------------------
+// Bundled games, straight and restore-heavy
+
+class Agent86GameDifferential : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(Agent86GameDifferential, FastAndReferenceAgreeFrameByFrame) {
+  const Program* program = program_by_name(GetParam());
+  ASSERT_NE(program, nullptr);
+  const std::string name(GetParam());
+  expect_a86_equivalent(*program, 240, kA86Budget, 0xA860000 + program->checksum(), name);
+  expect_a86_equivalent(*program, 240, kA86Budget, 0xA861000 + program->checksum(),
+                        name + " restore-heavy", 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGames, Agent86GameDifferential, ::testing::ValuesIn(game_names()),
+                         [](const auto& param_info) { return std::string(param_info.param); });
+
+// ---------------------------------------------------------------------------
+// Structure-aware random programs
+//
+// Mostly well-formed instructions over mostly valid registers, with the
+// hostile cases mixed in: stores through registers that point into the
+// program's own pages (self-modifying code, including the page about to
+// run), wild jump and call targets, bad registers, bad opcodes, INT3 and
+// runaway loops. The load address is usually 0x0100, sometimes mid-page
+// (instructions straddle page ends at new offsets), and sometimes near
+// 0xFF00, so that fetches and the image itself wrap around 0xFFFF.
+
+Program make_a86_fuzz_program(std::uint64_t seed) {
+  Rng rng(seed * 0x9E3779B97F4A7C15ull + 0xA86A86);
+  const std::int64_t placement = rng.uniform(0, 9);
+  std::uint16_t org = kDefaultOrg;
+  if (placement >= 8) {
+    org = static_cast<std::uint16_t>(0xFF00 + rng.uniform(0, 0xF0));
+  } else if (placement >= 6) {
+    org = static_cast<std::uint16_t>(0x0100 + rng.uniform(0, 0x2FF));
+  }
+
+  auto byte = [&rng] { return static_cast<std::uint8_t>(rng.uniform(0, 255)); };
+  // A register operand: 1 in 200 names a register that does not exist.
+  auto reg = [&rng] {
+    return static_cast<std::uint8_t>(rng.bernoulli(0.005) ? rng.uniform(kNumRegs, 15)
+                                                         : rng.uniform(0, kNumRegs - 1));
+  };
+  auto gp = [&rng] { return static_cast<std::uint8_t>(rng.uniform(0, SI)); };  // not DI/SP
+
+  struct Ins {
+    std::vector<std::uint8_t> bytes;
+    int target = -1;  ///< instruction index whose address patches bytes[1..2]
+  };
+  std::vector<Ins> prog;
+  const int body = static_cast<int>(rng.uniform(24, 160));
+  auto any_target = [&rng, body] { return static_cast<int>(rng.uniform(0, body + 5)); };
+  auto rr = [](std::uint8_t hi, std::uint8_t lo) { return static_cast<std::uint8_t>((hi << 4) | lo); };
+
+  // Prelude: DI points into the program (stores there modify code), SI at
+  // a data page, BX at video; the stack stays put or moves next to code.
+  const auto code_ptr = static_cast<std::uint16_t>(org + rng.uniform(0, 3 * body));
+  prog.push_back({{kMovRI, DI, static_cast<std::uint8_t>(code_ptr), static_cast<std::uint8_t>(code_ptr >> 8)}});
+  prog.push_back({{kMovRI, SI, 0x00, static_cast<std::uint8_t>(rng.uniform(0x40, 0x60))}});
+  prog.push_back({{kMovRI, BX, 0x00, 0xB8}});
+  if (rng.bernoulli(0.2)) {
+    const auto sp = static_cast<std::uint16_t>(org + rng.uniform(0, 3 * body));
+    prog.push_back({{kMovRI, SP, static_cast<std::uint8_t>(sp), static_cast<std::uint8_t>(sp >> 8)}});
+  }
+  const int prelude = static_cast<int>(prog.size());
+
+  for (int i = 0; i < body; ++i) {
+    const std::int64_t roll = rng.uniform(0, 99);
+    if (roll < 18) {
+      const auto op = static_cast<std::uint8_t>(rng.bernoulli(0.15) ? std::int64_t{kCmpRR} : kAddRR + rng.uniform(0, 7));
+      prog.push_back({{op, rr(reg(), reg())}});
+    } else if (roll < 30) {
+      const auto op = static_cast<std::uint8_t>(rng.bernoulli(0.15) ? std::int64_t{kCmpRI} : kAddRI + rng.uniform(0, 7));
+      prog.push_back({{op, reg(), byte(), byte()}});
+    } else if (roll < 37) {
+      prog.push_back({{kMovRI, gp(), byte(), byte()}});
+    } else if (roll < 40) {
+      prog.push_back({{kMovRR, rr(reg(), reg())}});
+    } else if (roll < 44) {
+      prog.push_back({{static_cast<std::uint8_t>(kNeg + rng.uniform(0, 3)), reg()}});
+    } else if (roll < 51) {
+      // Loads: [r+d8] off any register.
+      prog.push_back({{static_cast<std::uint8_t>(rng.bernoulli(0.5) ? kLdB : kLdW), rr(reg(), reg()), byte()}});
+    } else if (roll < 67) {
+      // Stores, most through DI (into the program), the rest through SI/BX.
+      const std::uint8_t base = rng.bernoulli(0.7) ? DI : (rng.bernoulli(0.5) ? SI : BX);
+      prog.push_back({{static_cast<std::uint8_t>(rng.bernoulli(0.5) ? kStB : kStW),
+                       rr(rng.bernoulli(0.95) ? base : reg(), reg()), byte()}});
+    } else if (roll < 71) {
+      // Move the code pointer on, so stores sweep across the program.
+      prog.push_back({{kAddRI, DI, byte(), 0x00}});
+    } else if (roll < 78) {
+      const auto op = static_cast<std::uint8_t>(kJmp + rng.uniform(0, 7));  // Jcc or LOOP
+      if (rng.bernoulli(0.1)) {
+        prog.push_back({{op, byte(), byte()}});  // wild target
+      } else {
+        prog.push_back({{op, 0, 0}, any_target()});
+      }
+    } else if (roll < 81) {
+      prog.push_back({{kCall, 0, 0}, any_target()});
+    } else if (roll < 83) {
+      prog.push_back({{kRet}});
+    } else if (roll < 87) {
+      prog.push_back({{static_cast<std::uint8_t>(rng.bernoulli(0.5) ? kPush : kPop), reg()}});
+    } else if (roll < 89) {
+      prog.push_back({{kOut, static_cast<std::uint8_t>(rng.uniform(0, 2)), reg()}});
+    } else if (roll < 97) {
+      prog.push_back({{kHlt}});
+    } else if (roll < 98) {
+      prog.push_back({{rng.bernoulli(0.5) ? kInt3 : kNop}});
+    } else {
+      prog.push_back({{byte()}});  // may be a bad opcode
+    }
+  }
+  // Tail: end the frame and loop past the prelude.
+  prog.push_back({{kHlt}});
+  prog.push_back({{kJmp, 0, 0}, prelude});
+
+  std::vector<std::uint16_t> addr;
+  std::uint32_t at = org;
+  for (const auto& ins : prog) {
+    addr.push_back(static_cast<std::uint16_t>(at));
+    at += static_cast<std::uint32_t>(ins.bytes.size());
+  }
+  Program p;
+  p.name = "a86fuzz-" + std::to_string(seed);
+  p.org = org;
+  p.entry = org;
+  for (auto& ins : prog) {
+    if (ins.target >= 0) {
+      const std::uint16_t t = addr[static_cast<std::size_t>(
+          std::min<int>(ins.target + prelude, static_cast<int>(prog.size()) - 1))];
+      ins.bytes[1] = static_cast<std::uint8_t>(t);
+      ins.bytes[2] = static_cast<std::uint8_t>(t >> 8);
+    }
+    p.image.insert(p.image.end(), ins.bytes.begin(), ins.bytes.end());
+  }
+  return p;
+}
+
+constexpr std::uint64_t kA86FuzzSeeds = 300;
+
+TEST(Agent86FuzzDifferential, StructureAwareRandomProgramsAgree) {
+  // A small budget keeps runaway seeds cheap; restores every 4 frames
+  // revisit self-modified code pages from both directions.
+  for (std::uint64_t seed = 1; seed <= kA86FuzzSeeds; ++seed) {
+    const Program p = make_a86_fuzz_program(seed);
+    expect_a86_equivalent(p, 24, 3000, seed ^ 0xF00D, p.name, 4);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Agent86FuzzDifferential, GeneratorReachesTheCasesItIsFor) {
+  // Guards the generator against drifting into tame programs: over the
+  // seeds above, some programs must wrap, fault on a bad register, and
+  // store into their own pages.
+  int wrapped = 0, bad_reg = 0, self_modified = 0;
+  for (std::uint64_t seed = 1; seed <= kA86FuzzSeeds; ++seed) {
+    const Program p = make_a86_fuzz_program(seed);
+    if (p.org + p.image.size() > kMemSize) ++wrapped;
+    Agent86Machine m(p, a86_cfg(false, 3000));
+    for (int f = 0; f < 24 && !m.faulted(); ++f) m.step_frame(static_cast<InputWord>(f));
+    if (m.fault() == Fault::kBadReg) ++bad_reg;
+    for (std::size_t i = 0; i < p.image.size() && p.org + i < kMemSize; ++i) {
+      if (m.peek(static_cast<std::uint16_t>(p.org + i)) != p.image[i]) {
+        ++self_modified;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(wrapped, 10);
+  EXPECT_GT(bad_reg, 10);
+  EXPECT_GT(self_modified, 50);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-written regressions
+
+TEST(Agent86RegressionDifferential, StoreIntoTheNextInstruction) {
+  // The store patches the immediate of the instruction right after it, in
+  // the page being executed: the next fetch must see the new bytes.
+  const Program p = must_assemble_a86(R"(
+main:
+        MOV SI, patched
+        MOV AX, 0x1234
+        MOV [SI+2], AX
+patched:
+        MOV BX, 0x5678
+        HLT
+        JMP main
+  )", "store-next");
+  for (const bool reference : {false, true}) {
+    Agent86Machine m(p, a86_cfg(reference));
+    m.step_frame(0);
+    EXPECT_EQ(m.fault(), Fault::kNone) << "reference=" << reference;
+    EXPECT_EQ(m.reg(BX), 0x1234) << "reference=" << reference;
+  }
+  expect_a86_equivalent(p, 8, kA86Budget, 0x11, "store-next", 3);
+}
+
+TEST(Agent86RegressionDifferential, StoreIntoTheTailPageOfAStraddlingInstruction) {
+  // MOV BX, imm at 0x01FE straddles into page 2, where its immediate
+  // lives. The store dirties only page 2; page 1 keeps its bit, so the
+  // straddler must be decoded live, never from page 1's table.
+  const Program p = must_assemble_a86(R"(
+main:
+        MOV SI, 0x0200
+        MOVB AX, [SI+0x10]
+        ADD AX, 0x4300
+        MOV [SI], AX
+        JMP straddler
+        ORG 0x01FE
+straddler:
+        MOV BX, 0x1111
+        HLT
+        JMP main
+  )", "straddle-tail");
+  ASSERT_EQ(p.image[0x01FE - p.org], kMovRI);
+  for (const bool reference : {false, true}) {
+    Agent86Machine m(p, a86_cfg(reference));
+    m.step_frame(0);
+    EXPECT_EQ(m.fault(), Fault::kNone) << "reference=" << reference;
+    EXPECT_EQ(m.reg(BX), 0x4300 + m.peek(0x0210)) << "reference=" << reference;
+  }
+  expect_a86_equivalent(p, 8, kA86Budget, 0x22, "straddle-tail", 3);
+}
+
+// Each frame runs `MOV BX, imm` and then patches that immediate with the
+// frame's player-0 byte, so BX in frame f is the input of frame f - 1.
+constexpr const char* kPatchEachFrame = R"(
+main:
+        MOV BX, 0x1111
+        MOV SI, main
+        MOV DI, 0xF800
+        MOVB AX, [DI]
+        MOV [SI+2], AX
+        HLT
+        JMP main
+)";
+
+TEST(Agent86RegressionDifferential, RestoringASnapshotWhoseCodePageWasModified) {
+  const Program p = must_assemble_a86(kPatchEachFrame, "patch-restore");
+  Agent86Machine writer(p, a86_cfg(false));
+  const auto pristine = writer.save_state();  // code page matches the image
+  writer.step_frame(0x0042);
+  writer.step_frame(0x0017);
+  const auto patched = writer.save_state();   // code page holds imm 0x0017
+
+  for (const bool reference : {false, true}) {
+    const std::string what = reference ? "reference" : "fast";
+    // A fresh machine's code page matches the image; the restore rewrites
+    // it, so the next frame must run the patched immediate.
+    Agent86Machine m(p, a86_cfg(reference));
+    ASSERT_TRUE(m.load_state(patched));
+    m.step_frame(0x0099);
+    EXPECT_EQ(m.reg(BX), 0x0017) << what;
+    // And back: restoring the pristine snapshot puts the image bytes back.
+    ASSERT_TRUE(m.load_state(pristine));
+    m.step_frame(0x0005);
+    EXPECT_EQ(m.reg(BX), 0x1111) << what;
+    // A page written with the same bytes it holds in the snapshot.
+    ASSERT_TRUE(m.load_state(patched));
+    m.step_frame(0x0017);
+    ASSERT_TRUE(m.load_state(patched));
+    m.step_frame(0x0001);
+    EXPECT_EQ(m.reg(BX), 0x0017) << what;
+  }
+  expect_a86_equivalent(p, 40, kA86Budget, 0x33, "patch-restore", 3);
+}
+
+TEST(Agent86RegressionDifferential, PushSpPushesTheOldSp) {
+  const Program p = must_assemble_a86(R"(
+main:
+        MOV SP, 0x8000
+        PUSH SP
+        POP AX
+        MOV SP, 0x9000
+        PUSH SP
+        POP SP
+        HLT
+        JMP main
+  )", "push-sp");
+  for (const bool reference : {false, true}) {
+    Agent86Machine m(p, a86_cfg(reference));
+    m.step_frame(0);
+    EXPECT_EQ(m.fault(), Fault::kNone) << "reference=" << reference;
+    EXPECT_EQ(m.reg(AX), 0x8000) << "reference=" << reference;
+    EXPECT_EQ(m.peek16(0x7FFE), 0x8000) << "reference=" << reference;
+    EXPECT_EQ(m.reg(SP), 0x9000) << "reference=" << reference;  // POP SP keeps the value
+  }
+  expect_a86_equivalent(p, 4, kA86Budget, 0x44, "push-sp");
+}
+
+TEST(Agent86RegressionDifferential, BadRegisterFaultsAfterTheWholeInstructionIsFetched) {
+  // Every operand form with a register byte: MOV r, imm (4 B), MOV r, r
+  // (2 B), a load (3 B), OUT (3 B, register in its last byte), and a
+  // 4-byte form straddling a page end. ip must end past the instruction.
+  struct Case {
+    std::vector<std::uint8_t> bytes;
+    std::uint16_t at;
+  };
+  const Case cases[] = {
+      {{kMovRI, 9, 0x34, 0x12}, 0x0100},
+      {{kMovRR, 0x0F}, 0x0100},
+      {{kLdW, 0x70, 0x04}, 0x0100},
+      {{kOut, kPortTone, 7}, 0x0100},
+      {{kAddRI, 8, 0x01, 0x00}, 0x01FE},
+  };
+  for (const Case& c : cases) {
+    Program p;
+    p.name = "bad-reg";
+    p.org = c.at;
+    p.entry = c.at;
+    p.image = c.bytes;
+    Agent86Machine fast(p, a86_cfg(false));
+    Agent86Machine ref(p, a86_cfg(true));
+    fast.step_frame(0);
+    ref.step_frame(0);
+    for (const Agent86Machine* m : {&fast, &ref}) {
+      EXPECT_EQ(m->fault(), Fault::kBadReg) << "op " << int(c.bytes[0]);
+      EXPECT_EQ(m->ip(), c.at + c.bytes.size()) << "op " << int(c.bytes[0]);
+      EXPECT_EQ(m->last_frame_cycles(), 0) << "op " << int(c.bytes[0]);
+    }
+    EXPECT_EQ(fast.save_state(), ref.save_state()) << "op " << int(c.bytes[0]);
+  }
+}
+
+// Frame cost: MOV (2) + MOV (2) + HLT (1) = 5 cycles.
+constexpr const char* kFiveCycleFrame = R"(
+main:
+        MOV AX, 1
+        MOV BX, 2
+        HLT
+        JMP main
+)";
+
+TEST(Agent86RegressionDifferential, BudgetLandingExactly) {
+  const Program p = must_assemble_a86(kFiveCycleFrame, "budget");
+  // budget -> (fault, cycles): the budget is checked before each fetch,
+  // so an instruction that starts under budget runs to completion.
+  const struct {
+    int budget;
+    Fault fault;
+    int cycles;
+  } cases[] = {{5, Fault::kNone, 5}, {4, Fault::kBudgetExceeded, 4},
+               {3, Fault::kBudgetExceeded, 4}, {1, Fault::kBudgetExceeded, 2},
+               {0, Fault::kBudgetExceeded, 0}};
+  for (const auto& c : cases) {
+    for (const bool reference : {false, true}) {
+      Agent86Machine m(p, a86_cfg(reference, c.budget));
+      m.step_frame(0);
+      EXPECT_EQ(m.fault(), c.fault) << "budget " << c.budget << " reference=" << reference;
+      EXPECT_EQ(m.last_frame_cycles(), c.cycles)
+          << "budget " << c.budget << " reference=" << reference;
+    }
+    expect_a86_equivalent(p, 3, c.budget, 0x55, "budget " + std::to_string(c.budget));
+  }
+}
+
+TEST(Agent86RegressionDifferential, SnapshotWithZfAndSfBothSetLoadsAndRoundTrips) {
+  // No instruction sets ZF and SF together, but load_state accepts any
+  // flag bits a snapshot may carry; both backends must keep both.
+  const Program p = must_assemble_a86(R"(
+main:
+        JZ z_set
+        HLT
+z_set:
+        JS s_set
+        HLT
+s_set:
+        MOV AX, 0x77
+        HLT
+        JMP main
+  )", "zf-sf");
+  Agent86Machine src(p, a86_cfg(false));
+  auto snap = src.save_state();
+  constexpr std::size_t kFlagsOffset = 1 + 8 + 2 * kNumRegs + 2;  // version, id, regs, ip
+  ASSERT_EQ(snap[kFlagsOffset], 0);
+  snap[kFlagsOffset] = 3;  // ZF | SF
+  for (const bool reference : {false, true}) {
+    Agent86Machine m(p, a86_cfg(reference));
+    ASSERT_TRUE(m.load_state(snap)) << "reference=" << reference;
+    EXPECT_EQ(m.save_state(), snap) << "reference=" << reference;
+    m.step_frame(0);
+    EXPECT_EQ(m.reg(AX), 0x77) << "reference=" << reference;
+  }
+  Agent86Machine fast(p, a86_cfg(false));
+  Agent86Machine ref(p, a86_cfg(true));
+  ASSERT_TRUE(fast.load_state(snap));
+  ASSERT_TRUE(ref.load_state(snap));
+  for (int f = 0; f < 4; ++f) {
+    fast.step_frame(0);
+    ref.step_frame(0);
+    expect_same_frame(fast, ref, "zf-sf", f);
+  }
+  EXPECT_EQ(fast.save_state(), ref.save_state());
+}
+
+}  // namespace
+}  // namespace rtct::a86

@@ -12,7 +12,8 @@
 //   * a restore-heavy run that, every 7 frames, loads the snapshot taken
 //     4 frames earlier and re-steps (with the full-rehash cross-check
 //     armed) — restores must be invisible to both digest versions;
-//   * the AC16 games on the reference byte-fetch interpreter.
+//   * the AC16 and agent86 games on their reference byte-fetch
+//     interpreters, straight and restore-heavy.
 //
 // On a mismatch the test prints the freshly computed table in source form.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/cores/agent86/games.h"
 #include "src/cores/registry.h"
 #include "src/emu/machine.h"
 #include "src/games/roms.h"
@@ -176,6 +178,25 @@ TEST(GoldenDigest, Ac16ReferenceInterpreterMatchesTable) {
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
     EXPECT_EQ(c.v2, want->v2) << name << " v2 chain, reference interpreter";
     auto r = games::make_machine(game, cfg);
+    const Chains rc = restore_heavy_chain(*r, in);
+    EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
+    EXPECT_EQ(rc.v2, want->v2) << name << " v2 chain, reference interpreter with restores";
+  }
+}
+
+TEST(GoldenDigest, Agent86ReferenceInterpreterMatchesTable) {
+  for (const auto game : a86::game_names()) {
+    const std::string name = "agent86:" + std::string(game);
+    const Golden* want = find_golden(name);
+    ASSERT_NE(want, nullptr) << name;
+    a86::MachineConfig cfg;
+    cfg.reference_interpreter = true;
+    auto m = a86::make_machine(game, cfg);
+    const auto in = scripted_inputs(name);
+    const Chains c = straight_chain(*m, in);
+    EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
+    EXPECT_EQ(c.v2, want->v2) << name << " v2 chain, reference interpreter";
+    auto r = a86::make_machine(game, cfg);
     const Chains rc = restore_heavy_chain(*r, in);
     EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
     EXPECT_EQ(rc.v2, want->v2) << name << " v2 chain, reference interpreter with restores";
