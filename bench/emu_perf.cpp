@@ -13,9 +13,8 @@
 // failure):
 //   * sparse-frame v2 digest >= 5x faster than the full v1 rehash (the
 //     incremental dirty-page digest must actually be incremental);
-//   * duel fast-interpreter step >= 3x faster than the reference
-//     interpreter measured in the same process (2x under sanitizers,
-//     whose instrumentation compresses the gap);
+//   * duel fast-interpreter step >= 6x faster than the reference
+//     interpreter measured in the same process (sanitized builds too);
 //   * duel absolute step_ns at most a third of the committed pre-fast-path
 //     baseline (skipped under sanitizers: absolute wall-clock there
 //     measures the sanitizer, not the interpreter);
@@ -66,6 +65,12 @@ constexpr bool kSanitized = false;
 /// interpreter landed (bench/baselines/BENCH_emu_perf.json at that
 /// revision). The fast path must hold at least a 3x win over it.
 constexpr double kPreFastPathDuelStepNs = 182802.43;
+
+/// duel fast step must beat the reference interpreter, timed in the same
+/// run, by at least this factor. On a 4-vCPU x86-64 VM the pointer-fetch
+/// interpreter read 6.4-8.0x over 36 runs (8.2-9.0x under ASan+UBSan);
+/// the shared-tail interpreter before it read 4.9-6.3x (4.3-4.7x).
+constexpr double kDuelStepRatioFloor = 6.0;
 
 /// Absolute step budget for the agent86 core: ~8x headroom over the
 /// reference interpreter's skirmish step on the baseline machine, and
@@ -441,7 +446,6 @@ int run_json_mode(const std::string& path) {
     return 1;
   }
 
-  const double step_ratio_floor = kSanitized ? 2.0 : 3.0;
   std::vector<Gate> gates;
   char buf[160];
   std::snprintf(buf, sizeof buf,
@@ -449,8 +453,8 @@ int run_json_mode(const std::string& path) {
   gates.push_back({buf, sparse.speedup >= 5.0});
   std::snprintf(buf, sizeof buf,
                 "duel fast-vs-reference step speedup %.2fx >= %.1fx",
-                duel->step_speedup, step_ratio_floor);
-  gates.push_back({buf, duel->step_speedup >= step_ratio_floor});
+                duel->step_speedup, kDuelStepRatioFloor);
+  gates.push_back({buf, duel->step_speedup >= kDuelStepRatioFloor});
   std::snprintf(buf, sizeof buf,
                 "sparse fast step %.0f ns <= 1.5x reference %.0f ns",
                 sparse.step_ns, sparse.ref_step_ns);

@@ -24,14 +24,14 @@ constexpr std::size_t kDebugLogCap = 4096;
 
 Agent86Machine::Agent86Machine(Program program, MachineConfig cfg)
     : program_(std::move(program)), checksum_(program_.checksum()), cfg_(cfg),
-      mem_(kMemSize, 0), predecode_(PredecodedProgram::shared(program_)) {
+      mem_(std::make_unique_for_overwrite<std::uint8_t[]>(kMemSize)), predecode_(PredecodedProgram::shared(program_)) {
   reset();
 }
 
 void Agent86Machine::reset() {
-  std::fill(mem_.begin(), mem_.end(), 0);
+  std::fill_n(mem_.get(), kMemSize, 0);
   const std::size_t limit = std::min(program_.image.size(), kMemSize - program_.org);
-  std::copy_n(program_.image.begin(), limit, mem_.begin() + program_.org);
+  std::copy_n(program_.image.begin(), limit, mem_.get() + program_.org);
   for (auto& r : regs_) r = 0;
   regs_[SP] = kInitialSp;
   ip_ = program_.entry;
@@ -351,7 +351,7 @@ int Agent86Machine::run_frame(int cycle_budget) {
 // fetched, so ip has moved past it; PUSH SP pushes the SP from before the
 // push; fetch wraps at 0xFFFF.
 int Agent86Machine::run_frame_fast(int cycle_budget) {
-  std::uint8_t* const mem = mem_.data();
+  std::uint8_t* const mem = mem_.get();
   const Decoded* const table = predecode_->entries();
   // One byte per page for this run: the fetch tests it every instruction
   // and a store sets it unconditionally, so neither waits on a bitmap.
@@ -742,7 +742,7 @@ done:
 std::uint64_t Agent86Machine::state_hash() const {
   Fnv1a64 h;
   visit_header(h);
-  h.update(std::span<const std::uint8_t>(mem_.data(), kMemSize));
+  h.update(std::span<const std::uint8_t>(mem_.get(), kMemSize));
   return h.digest();
 }
 
@@ -751,12 +751,12 @@ std::uint64_t Agent86Machine::state_digest(int version) const {
   Fnv1a64 h;
   h.update_u8(2);  // domain-separate v2 from the v1 hash, like AC16
   visit_header(h);
-  pages_.fold_into(h, mem_.data());
+  pages_.fold_into(h, mem_.get());
   return h.digest();
 }
 
 std::vector<std::uint64_t> Agent86Machine::page_digests() const {
-  const auto digests = pages_.refresh(mem_.data());
+  const auto digests = pages_.refresh(mem_.get());
   return {digests.begin(), digests.end()};
 }
 
@@ -772,7 +772,7 @@ void Agent86Machine::save_state_into(std::vector<std::uint8_t>& out) const {
   w.u8(kStateVersion);
   w.u64(checksum_);
   visit_header(w);
-  w.bytes(std::span<const std::uint8_t>(mem_.data(), kMemSize));
+  w.bytes(std::span<const std::uint8_t>(mem_.get(), kMemSize));
   out = w.take();
 }
 
@@ -801,7 +801,7 @@ bool Agent86Machine::load_state(std::span<const std::uint8_t> data) {
   fault_ = static_cast<Fault>(fault);
   tone_ = tone;
   frame_ = frame;
-  predecode_->revalidate(pages_.restore(mem_.data(), ram), mem_.data(), code_valid_);
+  predecode_->revalidate(pages_.restore(mem_.get(), ram), mem_.get(), code_valid_);
   debug_log_.clear();
   return true;
 }

@@ -67,7 +67,7 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   [[nodiscard]] int fb_cols() const override { return kFbCols; }
   [[nodiscard]] int fb_rows() const override { return kFbRows; }
   [[nodiscard]] std::span<const std::uint8_t> framebuffer() const override {
-    return {mem_.data() + kVideoBase, kFbSize};
+    return {mem_.get() + kVideoBase, kFbSize};
   }
 
   // Introspection (tests, tools, benches).
@@ -126,7 +126,8 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   Program program_;
   std::uint64_t checksum_;  ///< cached Program::checksum()
   MachineConfig cfg_;
-  std::vector<std::uint8_t> mem_;  ///< full flat 64 KiB
+  /// Full flat 64 KiB, allocated unfilled: reset() zeroes it.
+  std::unique_ptr<std::uint8_t[]> mem_;
   std::uint16_t regs_[kNumRegs] = {};
   std::uint16_t ip_ = 0;
   bool zf_ = false, sf_ = false, cf_ = false;

@@ -79,21 +79,30 @@ int Cpu::run_frame(Bus& bus, int cycle_budget) {
 // instruction for instruction — the reference implementation is the spec,
 // and emu_differential_test holds the two to per-frame digest equality.
 // What changes is purely mechanical cost:
-//   * fetch: one load from the PredecodedRom entry table while pc is inside
-//     the cacheable ROM window; the byte path (identical to run_frame's)
-//     covers execute-from-RAM, the ROM/RAM boundary and 16-bit wraparound;
+//   * fetch: `e` points at the PredecodedRom entry while pc is inside the
+//     cacheable ROM window; the byte path (execute-from-RAM, the ROM/RAM
+//     boundary, 16-bit wraparound) decodes into one local entry and points
+//     `e` there. Handlers read their operands through `e`;
+//   * dispatch: computed goto (RTCT_DISPATCH_GOTO) or a switch on the raw
+//     opcode byte. An undefined opcode lands on h_Bad (the switch's
+//     default), so the fetch never tests validity;
+//   * every handler ends in its own budget check, fetch and dispatch. Only
+//     the handlers that can stop the frame (HALT, BRK, the stores, CALL,
+//     PUSH) test for it. The tail runs once per instruction, so it holds
+//     nothing else: no operand copies, no validity or stop test
+//     (docs/CORES.md, "AC16 interpreter internals");
 //   * memory: raw pointer reads and an inlined write barrier replicating
 //     ArcadeMachine::write8 (ROM-write rejection + dirty-page bitmap);
-//     only IN/OUT still go through the virtual Bus (cold);
-//   * dispatch: computed goto (RTCT_DISPATCH_GOTO) or a switch.
+//     only IN/OUT still go through the virtual Bus (cold).
 //
 // Semantics that are easy to get wrong, preserved deliberately (and pinned
 // by tests): the cycle-budget check runs AFTER the instruction executes
 // and uses `used > budget` (an instruction landing exactly on the budget
 // does not fault); a budget overrun overwrites any fault the same
 // instruction raised (matching run_frame's unconditional check); a bad
-// opcode faults BEFORE pc advances; CALL pushes the already-advanced pc
-// even when the push itself faults on a ROM address.
+// opcode faults BEFORE pc advances (h_Bad backs the fetch's advance out);
+// CALL pushes the already-advanced pc even when the push itself faults on
+// a ROM address.
 int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& ports,
                         const PredecodedRom& rom, int cycle_budget) {
   if (fault_ != Fault::kNone) return 0;
@@ -104,10 +113,8 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
   bool halted = false;
   Fault fault = Fault::kNone;
   const PredecodedRom::Entry* const entries = rom.entries.data();
-
-  // Fields of the instruction currently dispatched (set by RTCT_FETCH).
-  std::uint8_t op = 0, ia = 0, ib = 0, ic = 0;
-  std::uint16_t imm = 0;
+  PredecodedRom::Entry live;               // the byte path's decoded instruction
+  const PredecodedRom::Entry* e = nullptr;  // the instruction being executed
 
   // The devirtualized bus.
   auto fb_write8 = [&](std::uint16_t addr, std::uint8_t v) -> bool {
@@ -143,70 +150,44 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     n = (zn_ & 0x8000) != 0;       \
   } while (0)
 
-#define RTCT_FETCH()                                                    \
-  do {                                                                  \
-    if (pc < PredecodedRom::kLimit) {                                   \
-      const PredecodedRom::Entry& e_ = entries[pc];                     \
-      if (!e_.valid) {                                                  \
-        fault = Fault::kBadOpcode;                                      \
-        goto done;                                                      \
-      }                                                                 \
-      op = e_.op;                                                       \
-      ia = e_.a;                                                        \
-      ib = e_.b;                                                        \
-      ic = e_.c;                                                        \
-      imm = e_.imm;                                                     \
-    } else {                                                            \
-      const std::uint8_t f0_ = mem[pc];                                 \
-      const std::uint8_t f1_ = mem[static_cast<std::uint16_t>(pc + 1)]; \
-      const std::uint8_t f2_ = mem[static_cast<std::uint16_t>(pc + 2)]; \
-      const std::uint8_t f3_ = mem[static_cast<std::uint16_t>(pc + 3)]; \
-      if (!is_valid_opcode(f0_)) {                                      \
-        fault = Fault::kBadOpcode;                                      \
-        goto done;                                                      \
-      }                                                                 \
-      op = f0_;                                                         \
-      ia = f1_;                                                         \
-      ib = f2_;                                                         \
-      ic = f3_;                                                         \
-      imm = static_cast<std::uint16_t>(f2_ | (f3_ << 8));               \
-    }                                                                   \
-    pc = static_cast<std::uint16_t>(pc + kInstrBytes);                  \
+#define RTCT_FETCH()                                                  \
+  do {                                                                \
+    if (pc < PredecodedRom::kLimit) [[likely]] {                      \
+      e = &entries[pc];                                               \
+    } else {                                                          \
+      live.op = mem[pc];                                              \
+      live.a = mem[static_cast<std::uint16_t>(pc + 1)];               \
+      live.b = mem[static_cast<std::uint16_t>(pc + 2)];               \
+      live.c = mem[static_cast<std::uint16_t>(pc + 3)];               \
+      live.imm = static_cast<std::uint16_t>(live.b | (live.c << 8));  \
+      e = &live;                                                      \
+    }                                                                 \
+    pc = static_cast<std::uint16_t>(pc + kInstrBytes);                \
   } while (0)
 
-// RTCT_NEXT(cost): post-instruction accounting, then dispatch the next
-// instruction. Replicates run_frame's loop epilogue exactly.
+// RTCT_CHARGE(cost): run_frame's post-instruction budget check.
+// RTCT_NEXT(cost): charge, then fetch and dispatch the next instruction.
+// RTCT_STOP(cost): charge, then end the frame (HALT, or a fault raised by
+// the instruction).
+#define RTCT_CHARGE(cost)                      \
+  used += (cost);                              \
+  if (used > cycle_budget) goto over_budget
+#define RTCT_STOP(cost) \
+  do {                  \
+    RTCT_CHARGE(cost);  \
+    goto done;          \
+  } while (0)
 #if RTCT_DISPATCH_GOTO
 #define RTCT_OP(name) h_##name:
-#define RTCT_NEXT(cost)                             \
-  do {                                              \
-    used += (cost);                                 \
-    if (used > cycle_budget) {                      \
-      fault = Fault::kBudgetExceeded;               \
-      goto done;                                    \
-    }                                               \
-    if (halted || fault != Fault::kNone) goto done; \
-    RTCT_FETCH();                                   \
-    goto* kDispatch[op];                            \
+#define RTCT_NEXT(cost)     \
+  do {                      \
+    RTCT_CHARGE(cost);      \
+    RTCT_FETCH();           \
+    goto* kDispatch[e->op]; \
   } while (0)
-#else
-#define RTCT_OP(name) case Op::k##name:
-#define RTCT_NEXT(cost)                             \
-  do {                                              \
-    used += (cost);                                 \
-    if (used > cycle_budget) {                      \
-      fault = Fault::kBudgetExceeded;               \
-      goto done;                                    \
-    }                                               \
-    if (halted || fault != Fault::kNone) goto done; \
-  } while (0);                                      \
-  continue
-#endif
 
-#if RTCT_DISPATCH_GOTO
-  // 256-entry first-level dispatch table, indexed by the raw opcode byte.
-  // Invalid opcodes are filtered by RTCT_FETCH before dispatch, so the
-  // h_Bad rows are a safety net, not a hot path.
+  // 256-entry dispatch table, indexed by the raw opcode byte; every
+  // undefined opcode's row is h_Bad.
 #define B16 \
   &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, \
   &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad
@@ -234,131 +215,138 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
 #undef B16
 
   RTCT_FETCH();
-  goto* kDispatch[op];
+  goto* kDispatch[e->op];
 #else
+#define RTCT_OP(name) case Op::k##name:
+#define RTCT_NEXT(cost) \
+  RTCT_CHARGE(cost);    \
+  continue
+
   for (;;) {
     RTCT_FETCH();
-    switch (static_cast<Op>(op)) {
+    switch (static_cast<Op>(e->op)) {
 #endif
 
   RTCT_OP(Nop) { RTCT_NEXT(1); }
   RTCT_OP(Halt) {
     halted = true;
-    RTCT_NEXT(1);
+    RTCT_STOP(1);
   }
   RTCT_OP(Brk) {
     fault = Fault::kBrk;
-    RTCT_NEXT(1);
+    RTCT_STOP(1);
   }
 
   RTCT_OP(Ldi) {
-    regs_[ia & 0xF] = imm;
+    regs_[e->a & 0xF] = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Mov) {
-    const std::uint16_t v = regs_[ib & 0xF];
-    regs_[ia & 0xF] = v;
+    const std::uint16_t v = regs_[e->b & 0xF];
+    regs_[e->a & 0xF] = v;
     RTCT_SETZN(v);
     RTCT_NEXT(1);
   }
   RTCT_OP(Ldb) {
-    const std::uint16_t v = mem[static_cast<std::uint16_t>(regs_[ib & 0xF] + ic)];
-    regs_[ia & 0xF] = v;
+    const std::uint16_t v = mem[static_cast<std::uint16_t>(regs_[e->b & 0xF] + e->c)];
+    regs_[e->a & 0xF] = v;
     RTCT_SETZN(v);
     RTCT_NEXT(2);
   }
   RTCT_OP(Ldw) {
     const std::uint16_t v =
-        fb_read16(static_cast<std::uint16_t>(regs_[ib & 0xF] + ic));
-    regs_[ia & 0xF] = v;
+        fb_read16(static_cast<std::uint16_t>(regs_[e->b & 0xF] + e->c));
+    regs_[e->a & 0xF] = v;
     RTCT_SETZN(v);
     RTCT_NEXT(2);
   }
   RTCT_OP(Stb) {
-    if (!fb_write8(static_cast<std::uint16_t>(regs_[ia & 0xF] + ic),
-                   static_cast<std::uint8_t>(regs_[ib & 0xF] & 0xFF))) {
+    if (!fb_write8(static_cast<std::uint16_t>(regs_[e->a & 0xF] + e->c),
+                   static_cast<std::uint8_t>(regs_[e->b & 0xF] & 0xFF))) {
       fault = Fault::kRomWrite;
+      RTCT_STOP(2);
     }
     RTCT_NEXT(2);
   }
   RTCT_OP(Stw) {
-    if (!fb_write16(static_cast<std::uint16_t>(regs_[ia & 0xF] + ic),
-                    regs_[ib & 0xF])) {
+    if (!fb_write16(static_cast<std::uint16_t>(regs_[e->a & 0xF] + e->c),
+                    regs_[e->b & 0xF])) {
       fault = Fault::kRomWrite;
+      RTCT_STOP(2);
     }
     RTCT_NEXT(2);
   }
 
   RTCT_OP(Add) {
-    auto& rd = regs_[ia & 0xF];
-    const std::uint32_t sum = static_cast<std::uint32_t>(rd) + regs_[ib & 0xF];
+    auto& rd = regs_[e->a & 0xF];
+    const std::uint32_t sum = static_cast<std::uint32_t>(rd) + regs_[e->b & 0xF];
     c = sum > 0xFFFF;
     rd = static_cast<std::uint16_t>(sum);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Addi) {
-    auto& rd = regs_[ia & 0xF];
-    const std::uint32_t sum = static_cast<std::uint32_t>(rd) + imm;
+    auto& rd = regs_[e->a & 0xF];
+    const std::uint32_t sum = static_cast<std::uint32_t>(rd) + e->imm;
     c = sum > 0xFFFF;
     rd = static_cast<std::uint16_t>(sum);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Sub) {
-    auto& rd = regs_[ia & 0xF];
-    const std::uint16_t operand = regs_[ib & 0xF];
+    auto& rd = regs_[e->a & 0xF];
+    const std::uint16_t operand = regs_[e->b & 0xF];
     c = rd < operand;  // borrow
     rd = static_cast<std::uint16_t>(rd - operand);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Subi) {
-    auto& rd = regs_[ia & 0xF];
-    c = rd < imm;  // borrow
-    rd = static_cast<std::uint16_t>(rd - imm);
+    auto& rd = regs_[e->a & 0xF];
+    c = rd < e->imm;  // borrow
+    rd = static_cast<std::uint16_t>(rd - e->imm);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(And) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd & regs_[ib & 0xF]);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd & regs_[e->b & 0xF]);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Andi) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd & imm);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd & e->imm);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Or) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd | regs_[ib & 0xF]);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd | regs_[e->b & 0xF]);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Ori) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd | imm);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd | e->imm);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Xor) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd ^ regs_[ib & 0xF]);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd ^ regs_[e->b & 0xF]);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Xori) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd ^ imm);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd ^ e->imm);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Shl) {
-    auto& rd = regs_[ia & 0xF];
-    const int s = regs_[ib & 0xF] & 15;
+    auto& rd = regs_[e->a & 0xF];
+    const int s = regs_[e->b & 0xF] & 15;
     if (s > 0) {
       c = ((rd >> (16 - s)) & 1) != 0;
       rd = static_cast<std::uint16_t>(rd << s);
@@ -367,8 +355,8 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_NEXT(1);
   }
   RTCT_OP(Shli) {
-    auto& rd = regs_[ia & 0xF];
-    const int s = imm & 15;
+    auto& rd = regs_[e->a & 0xF];
+    const int s = e->imm & 15;
     if (s > 0) {
       c = ((rd >> (16 - s)) & 1) != 0;
       rd = static_cast<std::uint16_t>(rd << s);
@@ -377,8 +365,8 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_NEXT(1);
   }
   RTCT_OP(Shr) {
-    auto& rd = regs_[ia & 0xF];
-    const int s = regs_[ib & 0xF] & 15;
+    auto& rd = regs_[e->a & 0xF];
+    const int s = regs_[e->b & 0xF] & 15;
     if (s > 0) {
       c = ((rd >> (s - 1)) & 1) != 0;
       rd = static_cast<std::uint16_t>(rd >> s);
@@ -387,8 +375,8 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_NEXT(1);
   }
   RTCT_OP(Shri) {
-    auto& rd = regs_[ia & 0xF];
-    const int s = imm & 15;
+    auto& rd = regs_[e->a & 0xF];
+    const int s = e->imm & 15;
     if (s > 0) {
       c = ((rd >> (s - 1)) & 1) != 0;
       rd = static_cast<std::uint16_t>(rd >> s);
@@ -397,76 +385,77 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_NEXT(1);
   }
   RTCT_OP(Mul) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd * regs_[ib & 0xF]);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd * regs_[e->b & 0xF]);
     RTCT_SETZN(rd);
     RTCT_NEXT(4);
   }
   RTCT_OP(Muli) {
-    auto& rd = regs_[ia & 0xF];
-    rd = static_cast<std::uint16_t>(rd * imm);
+    auto& rd = regs_[e->a & 0xF];
+    rd = static_cast<std::uint16_t>(rd * e->imm);
     RTCT_SETZN(rd);
     RTCT_NEXT(4);
   }
   RTCT_OP(Neg) {
-    auto& rd = regs_[ia & 0xF];
+    auto& rd = regs_[e->a & 0xF];
     rd = static_cast<std::uint16_t>(-rd);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
   RTCT_OP(Not) {
-    auto& rd = regs_[ia & 0xF];
+    auto& rd = regs_[e->a & 0xF];
     rd = static_cast<std::uint16_t>(~rd);
     RTCT_SETZN(rd);
     RTCT_NEXT(1);
   }
 
   RTCT_OP(Cmp) {
-    const std::uint16_t rd = regs_[ia & 0xF];
-    const std::uint16_t operand = regs_[ib & 0xF];
+    const std::uint16_t rd = regs_[e->a & 0xF];
+    const std::uint16_t operand = regs_[e->b & 0xF];
     c = rd < operand;
     RTCT_SETZN(static_cast<std::uint16_t>(rd - operand));
     RTCT_NEXT(1);
   }
   RTCT_OP(Cmpi) {
-    const std::uint16_t rd = regs_[ia & 0xF];
-    c = rd < imm;
-    RTCT_SETZN(static_cast<std::uint16_t>(rd - imm));
+    const std::uint16_t rd = regs_[e->a & 0xF];
+    c = rd < e->imm;
+    RTCT_SETZN(static_cast<std::uint16_t>(rd - e->imm));
     RTCT_NEXT(1);
   }
 
   RTCT_OP(Jmp) {
-    pc = imm;
+    pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jz) {
-    if (z) pc = imm;
+    if (z) pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jnz) {
-    if (!z) pc = imm;
+    if (!z) pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jc) {
-    if (c) pc = imm;
+    if (c) pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jnc) {
-    if (!c) pc = imm;
+    if (!c) pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jn) {
-    if (n) pc = imm;
+    if (n) pc = e->imm;
     RTCT_NEXT(1);
   }
   RTCT_OP(Jnn) {
-    if (!n) pc = imm;
+    if (!n) pc = e->imm;
     RTCT_NEXT(1);
   }
 
   RTCT_OP(Call) {
     fb_push16(pc);
-    pc = imm;
+    pc = e->imm;
+    if (fault != Fault::kNone) RTCT_STOP(3);
     RTCT_NEXT(3);
   }
   RTCT_OP(Ret) {
@@ -474,34 +463,39 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_NEXT(3);
   }
   RTCT_OP(Push) {
-    fb_push16(regs_[ia & 0xF]);
+    fb_push16(regs_[e->a & 0xF]);
+    if (fault != Fault::kNone) RTCT_STOP(2);
     RTCT_NEXT(2);
   }
   RTCT_OP(Pop) {
-    regs_[ia & 0xF] = fb_pop16();
+    regs_[e->a & 0xF] = fb_pop16();
     RTCT_NEXT(2);
   }
 
   RTCT_OP(In) {
-    const std::uint16_t v = ports.in_port(ib);
-    regs_[ia & 0xF] = v;
+    const std::uint16_t v = ports.in_port(e->b);
+    regs_[e->a & 0xF] = v;
     RTCT_SETZN(v);
     RTCT_NEXT(1);
   }
   RTCT_OP(Out) {
-    ports.out_port(ia, regs_[ib & 0xF]);
+    ports.out_port(e->a, regs_[e->b & 0xF]);
     RTCT_NEXT(1);
   }
 
-#if RTCT_DISPATCH_GOTO
-h_Bad:
-  fault = Fault::kBadOpcode;
-  goto done;
-#else
-    }  // switch: every case ends in continue / goto done; falling out is
-  }    // impossible because RTCT_FETCH validated the opcode.
+#if !RTCT_DISPATCH_GOTO
+      default:
+        goto h_Bad;
+    }
+  }
 #endif
 
+h_Bad:
+  pc = static_cast<std::uint16_t>(pc - kInstrBytes);
+  fault = Fault::kBadOpcode;
+  goto done;
+over_budget:
+  fault = Fault::kBudgetExceeded;
 done:
   pc_ = pc;
   z_ = z;
@@ -513,6 +507,8 @@ done:
 
 #undef RTCT_SETZN
 #undef RTCT_FETCH
+#undef RTCT_CHARGE
+#undef RTCT_STOP
 #undef RTCT_OP
 #undef RTCT_NEXT
 }

@@ -55,16 +55,18 @@ class Cpu {
   /// Fast-path variant of run_frame with bit-identical observable
   /// behaviour (state, faults, cycle accounting — enforced by the
   /// differential harness, not assumed):
-  ///   * instructions at pc < PredecodedRom::kLimit come from the
-  ///     predecoded ROM cache (one indexed load instead of 4 virtual
+  ///   * instructions at pc < PredecodedRom::kLimit are read through a
+  ///     pointer into the predecoded ROM cache (instead of 4 virtual
   ///     fetches + decode); pc at/above the limit (execute-from-RAM, the
-  ///     ROM/RAM boundary, wraparound) takes the byte-fetch path;
+  ///     ROM/RAM boundary, wraparound) decodes the bytes into one local
+  ///     entry, read through the same pointer;
   ///   * memory runs through `mem` (the 64 KiB space) with an inlined
   ///     write barrier that preserves the ROM-write fault and the
   ///     dirty-page bitmap of ArcadeMachine::write8 exactly;
   ///   * `ports` is only consulted for IN/OUT (cold);
   ///   * dispatch is computed-goto on GCC/Clang when built with
-  ///     RTCT_THREADED_DISPATCH (the default), else a switch.
+  ///     RTCT_THREADED_DISPATCH (the default), else a switch; either one
+  ///     sends an undefined opcode to the bad-opcode fault.
   int run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& ports,
                      const PredecodedRom& rom, int cycle_budget);
 

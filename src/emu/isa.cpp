@@ -99,7 +99,6 @@ PredecodedRom::PredecodedRom(std::span<const std::uint8_t> rom_image) {
     e.b = at(addr + 2);
     e.c = at(addr + 3);
     e.imm = static_cast<std::uint16_t>(e.b | (e.c << 8));
-    e.valid = is_valid_opcode(e.op) ? 1 : 0;
   }
 }
 

@@ -137,18 +137,21 @@ std::string mnemonic(Op op);
 /// construction. ROM writes fault (the region can never change after
 /// load), so every byte address whose 4-byte fetch window lies entirely
 /// below kRamBase can be decoded ahead of time — the fast interpreter
-/// replaces the per-instruction 4x byte fetch + decode() with one indexed
-/// load. Addresses in [kLimit, kRamBase) would fetch across the ROM/RAM
-/// boundary, and RAM bytes mutate at runtime, so executing there (like
-/// executing from RAM itself) falls back to the byte-fetch path.
+/// replaces the per-instruction 4x byte fetch + decode() with a pointer to
+/// the entry at pc. Addresses in [kLimit, kRamBase) would fetch across the
+/// ROM/RAM boundary, and RAM bytes mutate at runtime, so executing there
+/// (like executing from RAM itself) falls back to the byte-fetch path.
+/// Entries keep undefined opcodes as they are: the interpreter's dispatch
+/// table sends them to its bad-opcode handler.
 struct PredecodedRom {
-  struct Entry {
+  /// 8 bytes, so the fetch turns pc into an entry address with one scaled
+  /// index (a 6-byte stride takes two dependent address computations).
+  struct alignas(8) Entry {
     std::uint16_t imm = 0;  ///< b | c<<8, precomputed
     std::uint8_t op = 0;    ///< raw opcode byte
     std::uint8_t a = 0;
     std::uint8_t b = 0;
     std::uint8_t c = 0;
-    std::uint8_t valid = 0;  ///< is_valid_opcode(op)
   };
 
   /// First byte address NOT covered by the cache: the last address whose

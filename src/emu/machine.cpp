@@ -17,13 +17,13 @@ ArcadeMachine::ArcadeMachine(Rom rom, MachineConfig cfg)
     : rom_(std::move(rom)),
       predecode_(rom_.image),
       cfg_(cfg),
-      mem_(kMemSize, 0) {
+      mem_(std::make_unique_for_overwrite<std::uint8_t[]>(kMemSize)) {
   reset();
 }
 
 void ArcadeMachine::reset() {
-  std::fill(mem_.begin(), mem_.end(), 0);
-  std::copy(rom_.image.begin(), rom_.image.end(), mem_.begin());
+  std::fill_n(mem_.get(), kMemSize, 0);
+  std::copy(rom_.image.begin(), rom_.image.end(), mem_.get());
   cpu_.reset(rom_.entry, kInitialSp);
   input_latch_ = 0;
   tone_ = 0;
@@ -39,7 +39,7 @@ void ArcadeMachine::step_frame(InputWord input) {
   last_frame_cycles_ =
       cfg_.reference_interpreter
           ? cpu_.run_frame(*this, cfg_.cycles_per_frame)
-          : cpu_.run_frame_fast(mem_.data(), pages_.dirty_bitmap(), *this, predecode_,
+          : cpu_.run_frame_fast(mem_.get(), pages_.dirty_bitmap(), *this, predecode_,
                                 cfg_.cycles_per_frame);
   ++frame_;
 }
@@ -75,7 +75,7 @@ void ArcadeMachine::out_port(std::uint8_t port, std::uint16_t v) {
 std::uint64_t ArcadeMachine::state_hash() const {
   Fnv1a64 h;
   visit_header(h);
-  h.update(std::span<const std::uint8_t>(mem_.data() + kRamBase, kMutableSize));
+  h.update(std::span<const std::uint8_t>(mem_.get() + kRamBase, kMutableSize));
   return h.digest();
 }
 
@@ -84,12 +84,12 @@ std::uint64_t ArcadeMachine::state_digest(int version) const {
   Fnv1a64 h;
   h.update_u8(2);  // domain-separate the v2 digest from the v1 hash
   visit_header(h);
-  pages_.fold_into(h, mem_.data() + kRamBase);
+  pages_.fold_into(h, mem_.get() + kRamBase);
   return h.digest();
 }
 
 std::vector<std::uint64_t> ArcadeMachine::page_digests() const {
-  const auto digests = pages_.refresh(mem_.data() + kRamBase);
+  const auto digests = pages_.refresh(mem_.get() + kRamBase);
   return {digests.begin(), digests.end()};
 }
 
@@ -105,7 +105,7 @@ void ArcadeMachine::save_state_into(std::vector<std::uint8_t>& out) const {
   w.u8(kStateVersion);
   w.u64(rom_.checksum());
   visit_header(w);
-  w.bytes(std::span<const std::uint8_t>(mem_.data() + kRamBase, kMutableSize));
+  w.bytes(std::span<const std::uint8_t>(mem_.get() + kRamBase, kMutableSize));
   out = w.take();
 }
 
@@ -131,7 +131,7 @@ bool ArcadeMachine::load_state(std::span<const std::uint8_t> data) {
   input_latch_ = latch;
   tone_ = tone;
   frame_ = frame;
-  pages_.restore(mem_.data() + kRamBase, ram);
+  pages_.restore(mem_.get() + kRamBase, ram);
   // ROM region is already in place; debug log is diagnostic state only.
   debug_log_.clear();
   return true;

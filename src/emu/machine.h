@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -68,7 +69,7 @@ class ArcadeMachine final : public IDeterministicGame,
   [[nodiscard]] int fb_cols() const override { return kFbCols; }
   [[nodiscard]] int fb_rows() const override { return kFbRows; }
   [[nodiscard]] std::span<const std::uint8_t> framebuffer() const override {
-    return {mem_.data() + kFbBase, kFbSize};
+    return {mem_.get() + kFbBase, kFbSize};
   }
 
   // Introspection (rendering, tests, examples).
@@ -125,7 +126,8 @@ class ArcadeMachine final : public IDeterministicGame,
   PredecodedRom predecode_;
   MachineConfig cfg_;
   Cpu cpu_;
-  std::vector<std::uint8_t> mem_;  ///< full 64 KiB address space
+  /// Full 64 KiB address space, allocated unfilled: reset() zeroes it.
+  std::unique_ptr<std::uint8_t[]> mem_;
   InputWord input_latch_ = 0;      ///< latched at frame start
   std::uint16_t tone_ = 0;
   FrameNo frame_ = 0;

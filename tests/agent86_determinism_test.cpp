@@ -171,7 +171,7 @@ TEST_P(Agent86Determinism, LoadStateRejectsMalformedSnapshots) {
 
 INSTANTIATE_TEST_SUITE_P(AllGames, Agent86Determinism,
                          ::testing::Values("skirmish", "pong", "havoc"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& param_info) { return std::string(param_info.param); });
 
 }  // namespace
 }  // namespace rtct::a86

@@ -47,8 +47,8 @@ TEST_P(ChaosSoak, AllSeedsSatisfyAllInvariants) {
 INSTANTIATE_TEST_SUITE_P(AllTopologies, ChaosSoak,
                          ::testing::Values(Topology::kTwoSite, Topology::kMesh,
                                            Topology::kSpectator),
-                         [](const auto& info) {
-                           return std::string(topology_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(topology_name(param_info.param));
                          });
 
 // The same seeds, with both sites opted into rollback: every fault script
@@ -76,8 +76,8 @@ TEST_P(RollbackChaosSoak, AllSeedsSatisfyAllInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RollbackTopologies, RollbackChaosSoak,
                          ::testing::Values(Topology::kTwoSite, Topology::kSpectator),
-                         [](const auto& info) {
-                           return std::string(topology_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(topology_name(param_info.param));
                          });
 
 class EmulatorChaosSoak : public ::testing::TestWithParam<Topology> {};
@@ -146,8 +146,8 @@ TEST_P(EmulatorChaosSoak, FastAndReferenceInterpretersAgreeUnderChaos) {
 
 INSTANTIATE_TEST_SUITE_P(EmulatorTopologies, EmulatorChaosSoak,
                          ::testing::Values(Topology::kTwoSite, Topology::kSpectator),
-                         [](const auto& info) {
-                           return std::string(topology_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(topology_name(param_info.param));
                          });
 
 // The cross-core invariant: every fault script the soak generates also
@@ -202,8 +202,8 @@ TEST_P(Agent86ChaosSoak, EveryFaultScriptHoldsOnAnAgent86Topology) {
 INSTANTIATE_TEST_SUITE_P(Agent86Topologies, Agent86ChaosSoak,
                          ::testing::Values(Topology::kTwoSite, Topology::kMesh,
                                            Topology::kSpectator),
-                         [](const auto& info) {
-                           return std::string(topology_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(topology_name(param_info.param));
                          });
 
 // The agent86 twin of FastAndReferenceInterpretersAgreeUnderChaos, in

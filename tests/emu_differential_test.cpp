@@ -17,7 +17,9 @@
 //     frames cut by the budget, fetch wraparound at 0xFFFD, execution
 //     crossing the predecode limit into RAM, and self-modifying code
 //     running from RAM (including a store into the instruction stream
-//     currently being executed).
+//     currently being executed);
+//   * every opcode byte 0x00–0xFF, executed from the predecoded ROM window
+//     and from RAM, including the bad-opcode fault of every undefined one.
 //
 // agent86 (shared predecoded program pages, invalidated by stores):
 //   * the bundled games, straight and on a restore-heavy schedule
@@ -341,6 +343,114 @@ TEST(ExecuteFromRamDifferential, SnapshotRoundTripAcrossBackends) {
     ASSERT_EQ(fast.state_digest(2), ref.state_digest(2)) << "frame " << f;
   }
   EXPECT_EQ(fast.save_state(), ref.save_state());
+}
+
+// ---------------------------------------------------------------------------
+// Every opcode byte, from ROM and from RAM
+//
+// Each of the 256 opcode bytes runs once inside the predecoded ROM window
+// and once from RAM (the byte-fetch path), after a prologue that loads
+// every register and leaves N and C set. Per run both backends must agree
+// on the fault, pc, cycles, registers, flags and state bytes, and the
+// opcode must fault as bad exactly when is_valid_opcode rejects it. This
+// pins the fast path's rule that an undefined opcode reaches the
+// bad-opcode handler through its dispatch table, which then backs pc up
+// to the opcode: a table row that disagrees with is_valid_opcode, or a
+// bad-opcode fault that leaves pc past the opcode, fails here.
+
+/// One operand set for the opcode under test, and the register values the
+/// prologue loads (r15 is the stack pointer).
+struct OpcodeProbe {
+  const char* name;
+  std::uint8_t a, b, c;
+  std::uint16_t regs[kNumRegs];
+};
+
+// "ram": stores, loads, the stack and jump targets stay in RAM or on the
+// image's HALT filler; register shifts go by 5. "rom": stores and pushes
+// hit ROM and fault, jumps land in zero-filled RAM and run into the
+// budget; register shifts go by 15.
+constexpr OpcodeProbe kOpcodeProbes[] = {
+    {"ram", 1, 2, 0x03,
+     {0x0005, 0x8123, 0x9005, 0x1234, 0x8000, 0x7FFF, 0xFFFF, 0x0001, 0x00F0,
+      0x0F00, 0xAAAA, 0x5555, 0x0100, 0x4000, 0x0002, 0xFFFE}},
+    {"rom", 3, 4, 0xFF,
+     {0x0005, 0x8123, 0x9005, 0x0100, 0xFFFF, 0x7FFF, 0x8000, 0x0001, 0x00F0,
+      0x0F00, 0xAAAA, 0x5555, 0x0100, 0x4000, 0x0002, 0x0002}},
+};
+
+constexpr std::uint16_t kProbeRamCode = 0x9000;
+
+/// The probe ROM: a prologue (LDI into every register, then CMPI r0, 6 on
+/// r0 = 5 for N = C = 1, Z = 0) followed by the instruction under test or,
+/// with `from_ram`, a JMP to kProbeRamCode. The rest of the image is 0x01
+/// bytes, so any fetch inside it decodes as HALT.
+Rom opcode_probe_rom(const OpcodeProbe& probe, std::uint8_t op, bool from_ram) {
+  std::vector<std::uint8_t> image(0x400, static_cast<std::uint8_t>(Op::kHalt));
+  std::size_t at = 0;
+  auto emit = [&image, &at](Op o, std::uint8_t a, std::uint16_t imm) {
+    encode(Instr{o, a, static_cast<std::uint8_t>(imm & 0xFF),
+                 static_cast<std::uint8_t>(imm >> 8)},
+           &image[at]);
+    at += kInstrBytes;
+  };
+  for (int r = 0; r < kNumRegs; ++r) emit(Op::kLdi, static_cast<std::uint8_t>(r), probe.regs[r]);
+  emit(Op::kCmpi, 0, 6);
+  if (from_ram) {
+    emit(Op::kJmp, 0, kProbeRamCode);
+  } else {
+    encode(Instr{static_cast<Op>(op), probe.a, probe.b, probe.c}, &image[at]);
+  }
+  Rom rom;
+  rom.title = "opcode-probe";
+  rom.image = std::move(image);
+  return rom;
+}
+
+TEST(OpcodeDifferential, EveryOpcodeByteAgreesFromRomAndFromRam) {
+  for (const OpcodeProbe& probe : kOpcodeProbes) {
+    for (int op_int = 0; op_int < 256; ++op_int) {
+      const auto op = static_cast<std::uint8_t>(op_int);
+      for (const bool from_ram : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "opcode 0x" << std::hex << op_int << std::dec << ", operands "
+                     << probe.name << ", " << (from_ram ? "from RAM" : "from ROM"));
+        const Rom rom = opcode_probe_rom(probe, op, from_ram);
+        ArcadeMachine fast(rom, fast_cfg(2000));
+        ArcadeMachine ref(rom, ref_cfg(2000));
+        if (from_ram) {
+          const std::uint8_t code[kInstrBytes] = {op, probe.a, probe.b, probe.c};
+          for (std::uint16_t i = 0; i < 3 * kInstrBytes; ++i) {
+            const std::uint8_t byte =
+                i < kInstrBytes ? code[i] : static_cast<std::uint8_t>(Op::kHalt);
+            fast.poke(static_cast<std::uint16_t>(kProbeRamCode + i), byte);
+            ref.poke(static_cast<std::uint16_t>(kProbeRamCode + i), byte);
+          }
+        }
+        fast.step_frame(0x0404);
+        ref.step_frame(0x0404);
+
+        const std::uint16_t op_pc =
+            from_ram ? kProbeRamCode
+                     : static_cast<std::uint16_t>((kNumRegs + 1) * kInstrBytes);
+        EXPECT_EQ(ref.fault() == Fault::kBadOpcode, !is_valid_opcode(op));
+        if (!is_valid_opcode(op)) {
+          EXPECT_EQ(ref.cpu().pc(), op_pc);
+        }
+        EXPECT_EQ(fast.fault(), ref.fault());
+        EXPECT_EQ(fast.cpu().pc(), ref.cpu().pc());
+        EXPECT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles());
+        for (int r = 0; r < kNumRegs; ++r) {
+          EXPECT_EQ(fast.cpu().reg(r), ref.cpu().reg(r)) << "r" << r;
+        }
+        EXPECT_EQ(fast.cpu().flag_z(), ref.cpu().flag_z());
+        EXPECT_EQ(fast.cpu().flag_n(), ref.cpu().flag_n());
+        EXPECT_EQ(fast.cpu().flag_c(), ref.cpu().flag_c());
+        EXPECT_EQ(fast.save_state(), ref.save_state());
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
