@@ -1,5 +1,7 @@
 #include "src/cores/registry.h"
 
+#include <algorithm>
+
 #include "src/cores/agent86/games.h"
 #include "src/emu/machine.h"
 #include "src/games/cellwars.h"
@@ -97,6 +99,14 @@ std::unique_ptr<emu::IDeterministicGame> make_game(std::string_view qualified) {
   const GameCore* core = CoreRegistry::instance().core(qn.core);
   if (core == nullptr) return nullptr;
   return core->make_game(qn.game);
+}
+
+bool has_game(std::string_view qualified) {
+  const QualifiedName qn = split_qualified(qualified);
+  const GameCore* core = CoreRegistry::instance().core(qn.core);
+  if (core == nullptr) return false;
+  const auto names = core->game_names();
+  return std::find(names.begin(), names.end(), qn.game) != names.end();
 }
 
 std::unique_ptr<emu::IDeterministicGame> make_game_for_content(std::uint64_t content_id) {

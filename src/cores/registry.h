@@ -84,6 +84,10 @@ class CoreRegistry {
 /// when the core or game is unknown.
 std::unique_ptr<emu::IDeterministicGame> make_game(std::string_view qualified);
 
+/// True when make_game(qualified) would return a game: the core is
+/// registered and lists the game. Constructs nothing.
+bool has_game(std::string_view qualified);
+
 /// Re-instantiates whichever registered game has this content id (replay
 /// and spectator tooling); nullptr when no bundled game matches.
 std::unique_ptr<emu::IDeterministicGame> make_game_for_content(std::uint64_t content_id);

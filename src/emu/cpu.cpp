@@ -79,10 +79,12 @@ int Cpu::run_frame(Bus& bus, int cycle_budget) {
 // instruction for instruction — the reference implementation is the spec,
 // and emu_differential_test holds the two to per-frame digest equality.
 // What changes is purely mechanical cost:
-//   * fetch: `e` points at the PredecodedRom entry while pc is inside the
-//     cacheable ROM window; the byte path (execute-from-RAM, the ROM/RAM
-//     boundary, 16-bit wraparound) decodes into one local entry and points
-//     `e` there. Handlers read their operands through `e`;
+//   * fetch: `e` points at the PredecodedRom entry while pc is below the
+//     table's limit (the loaded image, capped at the ROM/RAM boundary);
+//     the byte path (the zero tail of ROM above the image, the ROM/RAM
+//     boundary, execute-from-RAM, 16-bit wraparound) decodes into one
+//     local entry and points `e` there. Handlers read their operands
+//     through `e`;
 //   * dispatch: computed goto (RTCT_DISPATCH_GOTO) or a switch on the raw
 //     opcode byte. An undefined opcode lands on h_Bad (the switch's
 //     default), so the fetch never tests validity;
@@ -113,6 +115,8 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
   bool halted = false;
   Fault fault = Fault::kNone;
   const PredecodedRom::Entry* const entries = rom.entries.data();
+  // 16 bits like pc: a 64-bit bound made GCC merge two more dispatch tails.
+  const auto limit = static_cast<std::uint16_t>(rom.limit());
   PredecodedRom::Entry live;               // the byte path's decoded instruction
   const PredecodedRom::Entry* e = nullptr;  // the instruction being executed
 
@@ -152,7 +156,7 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
 
 #define RTCT_FETCH()                                                  \
   do {                                                                \
-    if (pc < PredecodedRom::kLimit) [[likely]] {                      \
+    if (pc < limit) [[likely]] {                                      \
       e = &entries[pc];                                               \
     } else {                                                          \
       live.op = mem[pc];                                              \

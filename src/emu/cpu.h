@@ -55,11 +55,12 @@ class Cpu {
   /// Fast-path variant of run_frame with bit-identical observable
   /// behaviour (state, faults, cycle accounting — enforced by the
   /// differential harness, not assumed):
-  ///   * instructions at pc < PredecodedRom::kLimit are read through a
-  ///     pointer into the predecoded ROM cache (instead of 4 virtual
-  ///     fetches + decode); pc at/above the limit (execute-from-RAM, the
-  ///     ROM/RAM boundary, wraparound) decodes the bytes into one local
-  ///     entry, read through the same pointer;
+  ///   * instructions at pc < rom.limit() (the loaded image, capped at
+  ///     PredecodedRom::kLimit) are read through a pointer into the
+  ///     predecoded ROM cache (instead of 4 virtual fetches + decode); pc
+  ///     at/above the limit (the zero tail of ROM past the image, the
+  ///     ROM/RAM boundary, execute-from-RAM, wraparound) decodes the bytes
+  ///     into one local entry, read through the same pointer;
   ///   * memory runs through `mem` (the 64 KiB space) with an inlined
   ///     write barrier that preserves the ROM-write fault and the
   ///     dirty-page bitmap of ArcadeMachine::write8 exactly;

@@ -1,5 +1,7 @@
 #include "src/emu/isa.h"
 
+#include <algorithm>
+
 namespace rtct::emu {
 
 void encode(const Instr& ins, std::uint8_t out[4]) {
@@ -88,11 +90,11 @@ int cycle_cost(Op op) {
 }
 
 PredecodedRom::PredecodedRom(std::span<const std::uint8_t> rom_image) {
-  entries.resize(kLimit);
+  entries.resize(std::min<std::size_t>(rom_image.size(), kLimit));
   auto at = [&rom_image](std::size_t addr) -> std::uint8_t {
     return addr < rom_image.size() ? rom_image[addr] : 0;
   };
-  for (std::size_t addr = 0; addr < kLimit; ++addr) {
+  for (std::size_t addr = 0; addr < entries.size(); ++addr) {
     Entry& e = entries[addr];
     e.op = at(addr);
     e.a = at(addr + 1);

@@ -133,16 +133,19 @@ int cycle_cost(Op op);
 /// Mnemonic for disassembly/diagnostics; "???" for invalid opcodes.
 std::string mnemonic(Op op);
 
-/// Decode-once cache of the immutable ROM region, built at ArcadeMachine
+/// Decode-once cache of the loaded ROM image, built at ArcadeMachine
 /// construction. ROM writes fault (the region can never change after
-/// load), so every byte address whose 4-byte fetch window lies entirely
-/// below kRamBase can be decoded ahead of time — the fast interpreter
-/// replaces the per-instruction 4x byte fetch + decode() with a pointer to
-/// the entry at pc. Addresses in [kLimit, kRamBase) would fetch across the
-/// ROM/RAM boundary, and RAM bytes mutate at runtime, so executing there
-/// (like executing from RAM itself) falls back to the byte-fetch path.
-/// Entries keep undefined opcodes as they are: the interpreter's dispatch
-/// table sends them to its bad-opcode handler.
+/// load), so every byte address of the image whose 4-byte fetch window lies
+/// entirely below kRamBase can be decoded ahead of time — the fast
+/// interpreter replaces the per-instruction 4x byte fetch + decode() with a
+/// pointer to the entry at pc. The table covers [0, limit()), where
+/// limit() = min(image size, kLimit): an entry whose window runs past the
+/// image reads the zeros the machine's memory holds there. Everything at or
+/// above limit() takes the byte-fetch path: the zero tail of ROM above the
+/// image (exact, because those bytes never change either), addresses in
+/// [kLimit, kRamBase) whose window crosses into RAM, and RAM itself, whose
+/// bytes mutate at runtime. Entries keep undefined opcodes as they are: the
+/// interpreter's dispatch table sends them to its bad-opcode handler.
 struct PredecodedRom {
   /// 8 bytes, so the fetch turns pc into an entry address with one scaled
   /// index (a 6-byte stride takes two dependent address computations).
@@ -163,7 +166,10 @@ struct PredecodedRom {
   /// bytes beyond it read as zero, exactly like the machine's memory.
   explicit PredecodedRom(std::span<const std::uint8_t> rom_image);
 
-  std::vector<Entry> entries;  ///< kLimit entries, indexed by byte address
+  /// First byte address the table does not cover: min(image size, kLimit).
+  [[nodiscard]] std::size_t limit() const { return entries.size(); }
+
+  std::vector<Entry> entries;  ///< limit() entries, indexed by byte address
 };
 
 }  // namespace rtct::emu

@@ -15,6 +15,7 @@ constexpr std::size_t kDebugLogCap = 4096;
 
 ArcadeMachine::ArcadeMachine(Rom rom, MachineConfig cfg)
     : rom_(std::move(rom)),
+      content_id_(rom_.checksum()),
       predecode_(rom_.image),
       cfg_(cfg),
       mem_(std::make_unique_for_overwrite<std::uint8_t[]>(kMemSize)) {
@@ -103,7 +104,7 @@ void ArcadeMachine::save_state_into(std::vector<std::uint8_t>& out) const {
   if (out.capacity() < 64 + kMutableSize) out.reserve(64 + kMutableSize);
   ByteWriter w(std::move(out));
   w.u8(kStateVersion);
-  w.u64(rom_.checksum());
+  w.u64(content_id_);
   visit_header(w);
   w.bytes(std::span<const std::uint8_t>(mem_.get() + kRamBase, kMutableSize));
   out = w.take();
@@ -112,7 +113,7 @@ void ArcadeMachine::save_state_into(std::vector<std::uint8_t>& out) const {
 bool ArcadeMachine::load_state(std::span<const std::uint8_t> data) {
   ByteReader r(data);
   if (r.u8() != kStateVersion) return false;
-  if (r.u64() != rom_.checksum()) return false;  // snapshot from another game
+  if (r.u64() != content_id_) return false;  // snapshot from another game
 
   Cpu::RawState cs{};
   for (auto& reg : cs.regs) reg = r.u16();

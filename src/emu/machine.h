@@ -60,7 +60,7 @@ class ArcadeMachine final : public IDeterministicGame,
   void save_state_into(std::vector<std::uint8_t>& out) const override;
   bool load_state(std::span<const std::uint8_t> data) override;
   [[nodiscard]] FrameNo frame() const override { return frame_; }
-  [[nodiscard]] std::uint64_t content_id() const override { return rom_.checksum(); }
+  [[nodiscard]] std::uint64_t content_id() const override { return content_id_; }
   [[nodiscard]] std::string content_name() const override { return "ac16:" + rom_.title; }
   [[nodiscard]] bool faulted() const override { return cpu_.fault() != Fault::kNone; }
   [[nodiscard]] const IRenderableGame* renderable() const override { return this; }
@@ -120,7 +120,9 @@ class ArcadeMachine final : public IDeterministicGame,
   }
 
   Rom rom_;
-  /// Decode-once instruction cache of the (immutable) ROM region; never
+  /// rom_.checksum(), hashed once: every snapshot saved or loaded carries it.
+  std::uint64_t content_id_;
+  /// Decode-once instruction cache of the (immutable) ROM image; never
   /// invalidated because CPU stores below kRamBase fault and load_state
   /// only restores RAM.
   PredecodedRom predecode_;

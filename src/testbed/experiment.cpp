@@ -344,7 +344,7 @@ using GameFactory = std::function<std::unique_ptr<emu::IDeterministicGame>()>;
 /// The harness's game factory: the config's own, or the registry's.
 GameFactory resolve_factory(const GameFactory& configured, const std::string& game) {
   if (configured) return configured;
-  if (cores::make_game(game) == nullptr) return nullptr;
+  if (!cores::has_game(game)) return nullptr;
   return [game] { return cores::make_game(game); };
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/core/bisect.h"
@@ -61,6 +62,17 @@ TEST(RegistryTest, MakeGameResolvesBareAndQualifiedNames) {
 
   EXPECT_EQ(make_game("ac16:nosuchgame"), nullptr);
   EXPECT_EQ(make_game("nosuchcore:duel"), nullptr);
+}
+
+TEST(RegistryTest, HasGameAgreesWithMakeGame) {
+  std::vector<std::string> names = {"duel", "ac16:nosuchgame", "nosuchcore:duel",
+                                    "agent86:duel", ""};
+  for (const auto& e : list_games()) names.push_back(e.qualified());
+  for (const auto& name : names) {
+    EXPECT_EQ(has_game(name), make_game(name) != nullptr) << name;
+  }
+  EXPECT_TRUE(has_game("duel"));
+  EXPECT_FALSE(has_game("agent86:duel"));
 }
 
 TEST(RegistryTest, CatalogueCoversAllCoresWithDistinctContentIds) {

@@ -15,7 +15,8 @@
 //   * hand-written regressions for the boundary semantics a fast path is
 //     most tempted to get wrong: exact cycle-budget landing, partial
 //     frames cut by the budget, fetch wraparound at 0xFFFD, execution
-//     crossing the predecode limit into RAM, and self-modifying code
+//     crossing the predecode limit into RAM, code past the end of the
+//     image (the predecoded table ends with it), and self-modifying code
 //     running from RAM (including a store into the instruction stream
 //     currently being executed);
 //   * every opcode byte 0x00–0xFF, executed from the predecoded ROM window
@@ -34,6 +35,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <string>
 #include <vector>
@@ -80,6 +82,36 @@ void expect_equivalent(const Rom& rom, int frames, int cycles_per_frame,
   }
   EXPECT_EQ(fast.state_hash(), ref.state_hash()) << what;
   EXPECT_EQ(fast.save_state(), ref.save_state()) << what;
+}
+
+/// Per-instruction-visible state: fault, pc, cycles, every register, the
+/// flags and the save_state bytes.
+void expect_same_cpu(const ArcadeMachine& fast, const ArcadeMachine& ref) {
+  EXPECT_EQ(fast.fault(), ref.fault());
+  EXPECT_EQ(fast.cpu().pc(), ref.cpu().pc());
+  EXPECT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles());
+  for (int r = 0; r < kNumRegs; ++r) {
+    EXPECT_EQ(fast.cpu().reg(r), ref.cpu().reg(r)) << "r" << r;
+  }
+  EXPECT_EQ(fast.cpu().flag_z(), ref.cpu().flag_z());
+  EXPECT_EQ(fast.cpu().flag_n(), ref.cpu().flag_n());
+  EXPECT_EQ(fast.cpu().flag_c(), ref.cpu().flag_c());
+  EXPECT_EQ(fast.save_state(), ref.save_state());
+}
+
+/// Steps both backends `frames` frames and compares expect_same_cpu after
+/// every one.
+void expect_same_cpu_every_frame(const Rom& rom, int frames, const std::string& what) {
+  ArcadeMachine fast(rom, fast_cfg());
+  ArcadeMachine ref(rom, ref_cfg());
+  for (int f = 0; f < frames; ++f) {
+    SCOPED_TRACE(::testing::Message() << what << ", frame " << f);
+    const auto input = static_cast<InputWord>(0x0301 * (f + 1));
+    fast.step_frame(input);
+    ref.step_frame(input);
+    expect_same_cpu(fast, ref);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 Rom must_assemble(const char* source, const char* title) {
@@ -278,6 +310,177 @@ main:
 }
 
 // ---------------------------------------------------------------------------
+// The predecoded table ends with the image
+//
+// PredecodedRom holds min(image size, kLimit) entries. Code past the image
+// (the zero-filled rest of ROM, which decodes as NOPs) and every address in
+// [kLimit, kRamBase) take the byte path, and an entry whose fetch window
+// runs past the image must read zeros there. Each ROM below ends its frame
+// on HALT opcodes it stores at 0x8000–0x8003, followed by a JMP 0 that
+// restarts it next frame.
+
+/// Stores HALT opcodes at 0x8000–0x8003 and a JMP 0 at 0x8004.
+constexpr const char* kHaltPad = R"(
+    LDI r0, 0x8000
+    LDI r1, 0x0101      ; two HALT opcodes
+    STW r0, r1
+    STW r0, r1, 2
+    LDI r1, 0x40        ; JMP opcode; its target bytes stay zero
+    STB r0, r1, 4
+    ADDI r2, 1          ; frames run
+)";
+
+Rom assemble_with_pad(const std::string& body, const char* title) {
+  const std::string source = std::string(".entry main\nmain:\n") + kHaltPad + body;
+  return must_assemble(source.c_str(), title);
+}
+
+void expect_table_ends_with_image(const Rom& rom) {
+  EXPECT_EQ(PredecodedRom(rom.image).entries.size(),
+            std::min<std::size_t>(rom.image.size(), PredecodedRom::kLimit))
+      << rom.title;
+}
+
+TEST(PredecodeTable, HoldsOneEntryPerImageByteUpToTheLimit) {
+  for (const auto name : games::game_names()) {
+    expect_table_ends_with_image(*games::rom_by_name(name));
+  }
+  for (const std::size_t size : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                                 std::size_t{0x7FFC}, std::size_t{0x7FFD},
+                                 std::size_t{0x7FFE}, std::size_t{0x8000}}) {
+    Rom rom;
+    rom.title = "size-" + std::to_string(size);
+    rom.image.resize(size);
+    for (std::size_t i = 0; i < size; ++i) rom.image[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    const PredecodedRom table(rom.image);
+    ASSERT_EQ(table.entries.size(), std::min<std::size_t>(size, PredecodedRom::kLimit));
+    // Every entry decodes the image with zeros past its end.
+    for (std::size_t addr = 0; addr < table.entries.size(); ++addr) {
+      std::uint8_t window[kInstrBytes] = {};
+      for (std::size_t k = 0; k < kInstrBytes && addr + k < size; ++k) {
+        window[k] = rom.image[addr + k];
+      }
+      const PredecodedRom::Entry& e = table.entries[addr];
+      ASSERT_EQ(e.op, window[0]) << rom.title << " @" << addr;
+      ASSERT_EQ(e.a, window[1]) << rom.title << " @" << addr;
+      ASSERT_EQ(e.b, window[2]) << rom.title << " @" << addr;
+      ASSERT_EQ(e.c, window[3]) << rom.title << " @" << addr;
+      ASSERT_EQ(e.imm, window[2] | (window[3] << 8)) << rom.title << " @" << addr;
+    }
+  }
+}
+
+TEST(PredecodeTableDifferential, CodeRunsOffTheImageIntoTheZeroTail) {
+  // No jump: after the pad, execution slides through ~8 K NOPs of zero ROM
+  // and reaches the HALT at 0x8000.
+  const Rom rom = assemble_with_pad("", "off-the-end");
+  expect_table_ends_with_image(rom);
+  for (const bool reference : {false, true}) {
+    ArcadeMachine m(rom, {100000, reference});
+    for (int f = 1; f <= 3; ++f) {
+      m.step_frame(0);
+      EXPECT_EQ(m.fault(), Fault::kNone) << "reference=" << reference;
+      EXPECT_EQ(m.cpu().pc(), 0x8004) << "reference=" << reference;
+      EXPECT_EQ(m.cpu().reg(2), f) << "reference=" << reference;
+    }
+  }
+  expect_same_cpu_every_frame(rom, 6, "off-the-end");
+}
+
+TEST(PredecodeTableDifferential, InstructionStraddlingTheImageEndReadsZeros) {
+  // The last instruction is LDI r3, 0xABCD cut after `kept` bytes: the
+  // bytes past the image read as zero, so it executes as LDI r0, 0
+  // (kept = 1), LDI r3, 0 (2) or LDI r3, 0x00CD (3); kept = 4 is whole.
+  const std::uint16_t want[] = {0, 0x0000, 0x00CD, 0xABCD};
+  for (int kept = 1; kept <= 4; ++kept) {
+    std::string body = "    LDI r3, 0x7777\n    .byte 0x10";
+    const char* tail[] = {", 3", ", 0xCD", ", 0xAB"};
+    for (int k = 1; k < kept; ++k) body += tail[k - 1];
+    body += "\n";
+    const std::string title = "straddle-" + std::to_string(kept);
+    const Rom rom = assemble_with_pad(body, title.c_str());
+    ASSERT_EQ(rom.image.size() % kInstrBytes, static_cast<std::size_t>(kept % 4)) << title;
+    expect_table_ends_with_image(rom);
+    for (const bool reference : {false, true}) {
+      ArcadeMachine m(rom, {100000, reference});
+      m.step_frame(0);
+      EXPECT_EQ(m.fault(), Fault::kNone) << title << " reference=" << reference;
+      EXPECT_EQ(m.cpu().reg(kept == 1 ? 0 : 3), want[kept - 1])
+          << title << " reference=" << reference;
+    }
+    expect_same_cpu_every_frame(rom, 4, title);
+  }
+}
+
+TEST(PredecodeTableDifferential, JumpPastTheImageEnd) {
+  // The pad plus the JMP is 8 instructions, so the image ends at 0x0020.
+  // Targets of every alignment: the first bytes past the image, the middle
+  // of the zero tail, the last table-sized window (0x7FFC) and the three
+  // windows that cross into RAM (0x7FFD = kLimit onwards).
+  for (const std::uint16_t target :
+       {0x0020, 0x0021, 0x0022, 0x0023, 0x4000, 0x7FFC, 0x7FFD, 0x7FFE, 0x7FFF}) {
+    char title[16];
+    std::snprintf(title, sizeof title, "jump-%04X", static_cast<unsigned>(target));
+    const Rom rom = assemble_with_pad("    JMP " + std::to_string(target) + "\n", title);
+    ASSERT_EQ(rom.image.size(), 0x20u);
+    expect_table_ends_with_image(rom);
+    // The sled reaches 0x8000 + (target mod 4), where a HALT sits.
+    const auto halt_pc = static_cast<std::uint16_t>(0x8000 + (target & 3) + kInstrBytes);
+    for (const bool reference : {false, true}) {
+      ArcadeMachine m(rom, {100000, reference});
+      m.step_frame(0);
+      EXPECT_EQ(m.fault(), Fault::kNone) << title << " reference=" << reference;
+      EXPECT_EQ(m.cpu().pc(), halt_pc) << title << " reference=" << reference;
+    }
+    expect_same_cpu_every_frame(rom, 4, title);
+  }
+}
+
+TEST(PredecodeTableDifferential, FullImageDecodesAboveTheLimitLive) {
+  // A 32 KiB image: the table covers [0, kLimit) and stops there. The
+  // program runs the table's last aligned instructions, then LDI r7 at
+  // 0x7FFD, whose imm-high byte is RAM 0x8000. Each frame stores the frame
+  // counter's low byte there, so a window decoded once would go stale.
+  const Rom pro = must_assemble(R"(
+.entry main
+main:
+    LDI r0, 0x8000
+    IN r1, 2            ; frame counter, low 16 bits
+    STB r0, r1
+    LDI r1, 0x01        ; HALT at 0x8001
+    STB r0, r1, 1
+    LDI r1, 0x40        ; JMP 0 at 0x8005
+    STB r0, r1, 5
+    ADDI r2, 1
+    JMP 0x7FF4
+)", "full-image-prologue");
+  std::vector<std::uint8_t> image(0x8000, 0);
+  std::copy(pro.image.begin(), pro.image.end(), image.begin());
+  encode(Instr{Op::kLdi, 5, 0x5A, 0x5A}, &image[0x7FF4]);  // table entry
+  encode(Instr{Op::kJmp, 0, 0xFD, 0x7F}, &image[0x7FF8]);  // table entry: JMP 0x7FFD
+  image[0x7FFD] = static_cast<std::uint8_t>(Op::kLdi);     // LDI r7, 0x??34
+  image[0x7FFE] = 7;
+  image[0x7FFF] = 0x34;
+  Rom rom;
+  rom.title = "full-image";
+  rom.image = std::move(image);
+  rom.entry = pro.entry;
+  ASSERT_EQ(PredecodedRom(rom.image).limit(), PredecodedRom::kLimit);
+
+  for (const bool reference : {false, true}) {
+    ArcadeMachine m(rom, {100000, reference});
+    for (int f = 0; f < 3; ++f) {
+      m.step_frame(0);
+      EXPECT_EQ(m.fault(), Fault::kNone) << "reference=" << reference;
+      EXPECT_EQ(m.cpu().reg(5), 0x5A5A) << "reference=" << reference;
+      EXPECT_EQ(m.cpu().reg(7), (f << 8) | 0x34) << "reference=" << reference;
+      EXPECT_EQ(m.cpu().pc(), 0x8005) << "reference=" << reference;
+    }
+  }
+  expect_same_cpu_every_frame(rom, 6, "full-image");
+}
+
+// ---------------------------------------------------------------------------
 // Execute-from-RAM with self-modifying code
 //
 // The ROM copies a 24-byte program into RAM at 0x9000 and jumps there.
@@ -437,16 +640,7 @@ TEST(OpcodeDifferential, EveryOpcodeByteAgreesFromRomAndFromRam) {
         if (!is_valid_opcode(op)) {
           EXPECT_EQ(ref.cpu().pc(), op_pc);
         }
-        EXPECT_EQ(fast.fault(), ref.fault());
-        EXPECT_EQ(fast.cpu().pc(), ref.cpu().pc());
-        EXPECT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles());
-        for (int r = 0; r < kNumRegs; ++r) {
-          EXPECT_EQ(fast.cpu().reg(r), ref.cpu().reg(r)) << "r" << r;
-        }
-        EXPECT_EQ(fast.cpu().flag_z(), ref.cpu().flag_z());
-        EXPECT_EQ(fast.cpu().flag_n(), ref.cpu().flag_n());
-        EXPECT_EQ(fast.cpu().flag_c(), ref.cpu().flag_c());
-        EXPECT_EQ(fast.save_state(), ref.save_state());
+        expect_same_cpu(fast, ref);
         if (::testing::Test::HasFailure()) return;
       }
     }

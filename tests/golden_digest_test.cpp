@@ -15,7 +15,12 @@
 //   * the AC16 and agent86 games on their reference byte-fetch
 //     interpreters, straight and restore-heavy.
 //
-// On a mismatch the test prints the freshly computed table in source form.
+// On a mismatch the test prints a diff between the committed table and
+// the one the current code computes. After a deliberate digest change,
+// `golden_digest_test --regenerate` prints the replacement kTable block
+// (rows in registry order) to paste over the one below and review as a
+// diff; it exits 1 instead when a restore-heavy run disagrees with the
+// straight run, because no table can pin both.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +28,8 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -126,25 +133,44 @@ std::vector<std::string> all_games() {
   return names;
 }
 
-TEST(GoldenDigest, StraightChainsMatchTable) {
-  std::string table;
-  bool all_match = true;
+using Rows = std::vector<std::pair<std::string, Chains>>;
+
+/// The kTable block in source form.
+std::string table_source(const Rows& rows) {
+  std::string out = "// clang-format off\nconstexpr Golden kTable[] = {\n";
+  for (const auto& [game, c] : rows) {
+    char row[160];
+    std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", game.c_str(),
+                  static_cast<unsigned long long>(c.v1), static_cast<unsigned long long>(c.v2));
+    out += row;
+  }
+  return out + "};\n// clang-format on\n";
+}
+
+Rows committed_rows() {
+  Rows out;
+  for (const auto& row : kTable) out.emplace_back(row.game, Chains{row.v1, row.v2});
+  return out;
+}
+
+/// Every registered game's straight chains, as the current code computes them.
+Rows computed_rows() {
+  Rows out;
   for (const auto& name : all_games()) {
     auto g = cores::make_game(name);
-    ASSERT_NE(g, nullptr) << name;
-    const Chains c = straight_chain(*g, scripted_inputs(name));
-    char row[160];
-    std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", name.c_str(),
-                  static_cast<unsigned long long>(c.v1), static_cast<unsigned long long>(c.v2));
-    table += row;
-    const Golden* want = find_golden(name);
-    if (want == nullptr || want->v1 != c.v1 || want->v2 != c.v2) all_match = false;
-    EXPECT_NE(want, nullptr) << name << " has no golden row";
-    if (want == nullptr) continue;
-    EXPECT_EQ(c.v1, want->v1) << name << " v1 chain";
-    EXPECT_EQ(c.v2, want->v2) << name << " v2 chain";
+    if (g == nullptr) {
+      ADD_FAILURE() << name << " is listed but cannot be made";
+      continue;
+    }
+    out.emplace_back(name, straight_chain(*g, scripted_inputs(name)));
   }
-  if (!all_match) std::printf("computed table:\n%s", table.c_str());
+  return out;
+}
+
+TEST(GoldenDigest, StraightChainsMatchTable) {
+  EXPECT_EQ(table_source(computed_rows()), table_source(committed_rows()))
+      << "for a deliberate change, review and paste the output of "
+         "golden_digest_test --regenerate";
 }
 
 TEST(GoldenDigest, TableCoversEveryRegisteredGame) {
@@ -203,5 +229,37 @@ TEST(GoldenDigest, Agent86ReferenceInterpreterMatchesTable) {
   }
 }
 
+/// The --regenerate mode: prints the computed kTable block.
+int regenerate() {
+  const Rows rows = computed_rows();
+  int disagreements = 0;
+  emu::set_state_digest_cross_check(true);
+  for (const auto& [name, c] : rows) {
+    auto g = cores::make_game(name);
+    const Chains rc = restore_heavy_chain(*g, scripted_inputs(name));
+    if (rc.v1 != c.v1 || rc.v2 != c.v2) {
+      std::fprintf(stderr, "%s: the restore-heavy chains differ from the straight chains\n",
+                   name.c_str());
+      ++disagreements;
+    }
+  }
+  emu::set_state_digest_cross_check(false);
+  if (emu::state_digest_cross_check_failures() != 0) {
+    std::fprintf(stderr, "the digest cross-check failed\n");
+    ++disagreements;
+  }
+  if (disagreements != 0) return 1;
+  std::fputs(table_source(rows).c_str(), stdout);
+  return 0;
+}
+
 }  // namespace
 }  // namespace rtct
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--regenerate") return rtct::regenerate();
+  }
+  return RUN_ALL_TESTS();
+}
