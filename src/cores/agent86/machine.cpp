@@ -6,6 +6,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
+#include "src/emu/fill_loop.h"
 
 // Threaded (computed-goto) dispatch is a GNU extension; CMake defines
 // RTCT_THREADED_DISPATCH (default ON) and a switch is the portable
@@ -342,7 +343,11 @@ int Agent86Machine::run_frame(int cycle_budget) {
 //   * registers, flags and the per-page state live in locals for the
 //     whole frame: byte stores into mem cannot alias them, so the compiler
 //     does not reload them after every store;
-//   * dispatch: computed goto (RTCT_A86_DISPATCH_GOTO) or a switch.
+//   * dispatch: computed goto (RTCT_A86_DISPATCH_GOTO) or a switch;
+//   * fill loops: at a head the predecode marked, every iteration but the
+//     last runs as one block store when that is exact, and the store
+//     handler then runs the last iteration, so flags, the fall-through ip
+//     and the final cycle charge come from the ordinary handlers.
 //
 // Semantics that are easy to get wrong, kept deliberately (and pinned by
 // tests): the budget is checked before each fetch (an instruction that
@@ -439,9 +444,10 @@ int Agent86Machine::run_frame_fast(int cycle_budget) {
       /*0x60*/ X16, /*0x70*/ X16, /*0x80*/ X16, /*0x90*/ X16, /*0xA0*/ X16, /*0xB0*/ X16,
       /*0xC0*/ X16, /*0xD0*/ X16, /*0xE0*/ X16,
       /*0xF0*/ &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad,
-      &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_BadReg, &&h_Straddle};
+      &&h_Bad, &&h_Bad, &&h_Bad, &&h_Fill, &&h_Fill, &&h_Bad, &&h_BadReg, &&h_Straddle};
 #undef X16
-  static_assert(kXBadOpcode == 0xFD && kXBadReg == 0xFE && kXStraddle == 0xFF);
+  static_assert(kXFillB == 0xFB && kXFillW == 0xFC && kXBadOpcode == 0xFD &&
+                kXBadReg == 0xFE && kXStraddle == 0xFF);
 
   if (left <= 0) goto over_budget;
   A86_FETCH();
@@ -495,12 +501,12 @@ int Agent86Machine::run_frame_fast(int cycle_budget) {
     A86_ADVANCE(3);
     A86_NEXT(3);
   }
-  A86_OP(StB) {
+  A86_OP(StB) store_byte: {
     A86_WRITE8(r[e->a] + e->imm, r[e->b] & 0xFF);
     A86_ADVANCE(3);
     A86_NEXT(3);
   }
-  A86_OP(StW) {
+  A86_OP(StW) store_word: {
     A86_WRITE16(r[e->a] + e->imm, r[e->b]);
     A86_ADVANCE(3);
     A86_NEXT(3);
@@ -668,6 +674,42 @@ int Agent86Machine::run_frame_fast(int cycle_budget) {
     }
     A86_ADVANCE(3);
     A86_NEXT(2);
+  }
+
+  // A fill-loop head (predecode.h): its step and LOOP entries follow it
+  // in the table. Every iteration but the last runs as one block store
+  // when the whole loop fits in the budget and those stores neither wrap
+  // past 0xFFFF nor touch the loop's own page; otherwise nothing changes
+  // and the loop is stepped. Iterations before the last set no flag the
+  // last one does not set again (INC keeps CF, which no iteration sets).
+#if RTCT_A86_DISPATCH_GOTO
+h_Fill:
+#else
+      case kXFillB:
+      case kXFillW:
+#endif
+  {
+    const Decoded& step = e[3];
+    const bool inc = step.op == kInc;
+    const std::uint16_t stride = inc ? 1 : step.imm;
+    const int iteration_cycles = inc ? 3 + 1 + 2 : 3 + 2 + 2;  // store, step, LOOP
+    const unsigned width = e->op == kXFillW ? 2 : 1;
+    const std::uint32_t iters = emu::loop_iterations(r[CX]);
+    const std::uint32_t first = static_cast<std::uint32_t>(r[e->a]) + e->imm;
+    if (iters >= 2 && static_cast<std::int64_t>(iters) * iteration_cycles <= left) {
+      const std::uint64_t last = emu::fill_last_byte(first, iters - 1, stride, width);
+      const std::uint32_t loop_page = ip >> emu::kPageShift;
+      if (last <= 0xFFFF &&
+          (last >> emu::kPageShift < loop_page || first >> emu::kPageShift > loop_page)) {
+        emu::block_fill(mem, first, iters - 1, stride, width, r[e->b],
+                        [&page_state](std::uint32_t p) { page_state[p] = kPageWritten; });
+        r[e->a] = static_cast<std::uint16_t>(r[e->a] + (iters - 1) * stride);
+        r[CX] = 1;
+        left -= static_cast<int>(iters - 1) * iteration_cycles;
+      }
+    }
+    if (e->op == kXFillB) goto store_byte;
+    goto store_word;
   }
 
 #if RTCT_A86_DISPATCH_GOTO

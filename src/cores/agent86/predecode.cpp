@@ -39,6 +39,24 @@ PredecodedProgram::PredecodedProgram(const Program& program) : org_(program.org)
     if ((addr % emu::kPageSize) + d.len > emu::kPageSize) d.op = kXStraddle;
     entries_[addr] = d;
   }
+  // Fill-loop heads: the loop's bytes must share the head's page, whose
+  // bit then vouches for all of them.
+  for (std::size_t head = base; head < entries_.size(); ++head) {
+    Decoded& store = entries_[head];
+    if (store.op != kStB && store.op != kStW) continue;
+    const std::size_t page = head >> emu::kPageShift;
+    const std::size_t step_at = head + 3;
+    if (step_at >> emu::kPageShift != page) continue;
+    const Decoded& step = entries_[step_at];
+    const std::size_t loop_at = step_at + step.len;
+    if ((loop_at + 2) >> emu::kPageShift != page) continue;
+    const Decoded& loop = entries_[loop_at];
+    const bool steps_ptr = (step.op == kAddRI || step.op == kInc) && step.a == store.a;
+    if (steps_ptr && loop.op == kLoop && loop.imm == head && store.a != store.b &&
+        store.a != CX && store.b != CX) {
+      store.op = store.op == kStB ? kXFillB : kXFillW;
+    }
+  }
   for (std::size_t p = first_page_; p < first_page_ + num_pages_; ++p) {
     image_pages_[p >> 6] |= 1ull << (p & 63);
   }

@@ -22,6 +22,10 @@
 namespace rtct::a86 {
 
 /// Pseudo-opcodes a decode can produce besides the real opcode bytes.
+/// decode_at turns every byte that is not an opcode into kXBadOpcode, so
+/// the table-only ones never come out of memory.
+inline constexpr std::uint8_t kXFillB = 0xFB;      ///< table only: MOVB fill-loop head
+inline constexpr std::uint8_t kXFillW = 0xFC;      ///< table only: MOV fill-loop head
 inline constexpr std::uint8_t kXBadOpcode = 0xFD;  ///< not an opcode; 1 byte
 inline constexpr std::uint8_t kXBadReg = 0xFE;     ///< names a register >= kNumRegs
 inline constexpr std::uint8_t kXStraddle = 0xFF;   ///< table only: ends in the next page
@@ -103,6 +107,12 @@ class PredecodedProgram {
   /// Indexed by address, from 0 to the end of the last image page. An
   /// entry is current only while its page's bit is set in the running
   /// machine's bitmap, which implies the page is one of image_pages().
+  ///
+  /// The head of a counted fill loop that lies in one page,
+  ///   head: MOV/MOVB [rP+d], rV ; ADD rP, k | INC rP ; LOOP head
+  /// with rP, rV and CX distinct, decodes to kXFillW / kXFillB in place of
+  /// kStW / kStB; its other fields are the store's. The step and LOOP
+  /// entries follow it at head + 3.
   [[nodiscard]] const Decoded* entries() const { return entries_.data(); }
   /// The bitmap of a freshly reset machine: every page the image covers.
   [[nodiscard]] const PageBits& image_pages() const { return image_pages_; }

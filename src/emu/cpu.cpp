@@ -1,5 +1,7 @@
 #include "src/emu/cpu.h"
 
+#include "src/emu/fill_loop.h"
+
 // Threaded (computed-goto) dispatch is a GNU extension; CMake defines
 // RTCT_THREADED_DISPATCH (option of the same name, default ON) and the
 // portable switch backend is the fallback everywhere else.
@@ -29,6 +31,41 @@ const char* fault_name(Fault f) {
   }
   return "?";
 }
+
+namespace {
+
+/// Runs all but the last iteration of the fill loop whose marked head entry
+/// is `head` (the ADDI, SUBI and JNZ entries follow it in the table) as
+/// one block store, and returns the cycles those iterations cost. Returns
+/// 0, having changed nothing, when the loop must be stepped instead: it
+/// runs once, it does not fit in `cycles_left`, or its stores before the
+/// last would leave RAM (below kRamBase, or wrapping past 0xFFFF). The
+/// predecode already ruled out aliased registers. The caller sets the
+/// flags the skipped iterations leave behind.
+int fill_all_but_last(std::uint16_t* regs, std::uint8_t* mem, std::uint64_t* dirty_bitmap,
+                      const PredecodedRom::Entry* head, int cycles_left) {
+  const int ptr = head->a & 0xF;
+  const int counter = head[2 * kInstrBytes].a & 0xF;
+  const std::uint16_t stride = head[kInstrBytes].imm;
+  const unsigned width = head->op == PredecodedRom::kFillStw ? 2 : 1;
+  const std::uint32_t iters = loop_iterations(regs[counter]);
+  const std::uint32_t first = static_cast<std::uint32_t>(regs[ptr]) + head->c;
+  if (iters < 2 ||
+      static_cast<std::int64_t>(iters) * PredecodedRom::kFillIterationCycles > cycles_left ||
+      first < kRamBase || fill_last_byte(first, iters - 1, stride, width) > 0xFFFF) {
+    return 0;
+  }
+  const std::uint16_t value = regs[head->b & 0xF];
+  block_fill(mem, first, iters - 1, stride, width, value, [dirty_bitmap](std::uint32_t p) {
+    const std::uint32_t page = p - (kRamBase >> kPageShift);
+    dirty_bitmap[page >> 6] |= 1ull << (page & 63);
+  });
+  regs[ptr] = static_cast<std::uint16_t>(regs[ptr] + (iters - 1) * stride);
+  regs[counter] = 1;
+  return static_cast<int>(iters - 1) * PredecodedRom::kFillIterationCycles;
+}
+
+}  // namespace
 
 void Cpu::reset(std::uint16_t entry, std::uint16_t initial_sp) {
   for (auto& r : regs_) r = 0;
@@ -85,9 +122,14 @@ int Cpu::run_frame(Bus& bus, int cycle_budget) {
 //     boundary, execute-from-RAM, 16-bit wraparound) decodes into one
 //     local entry and points `e` there. Handlers read their operands
 //     through `e`;
-//   * dispatch: computed goto (RTCT_DISPATCH_GOTO) or a switch on the raw
-//     opcode byte. An undefined opcode lands on h_Bad (the switch's
-//     default), so the fetch never tests validity;
+//   * dispatch: computed goto (RTCT_DISPATCH_GOTO) or a switch on the
+//     entry's op: the raw opcode byte, or a fill marker only the table
+//     holds. An undefined opcode lands on h_Bad (the switch's default), so
+//     the fetch never tests validity;
+//   * fill loops: at a marked head (PredecodedRom), fill_all_but_last runs
+//     every iteration but the last as one block store when that is exact,
+//     and the STB/STW handler then runs the last iteration's store, so its
+//     fault and the loop's fall-through come from the ordinary handlers;
 //   * every handler ends in its own budget check, fetch and dispatch. Only
 //     the handlers that can stop the frame (HALT, BRK, the stores, CALL,
 //     PUSH) test for it. The tail runs once per instruction, so it holds
@@ -190,12 +232,12 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     goto* kDispatch[e->op]; \
   } while (0)
 
-  // 256-entry dispatch table, indexed by the raw opcode byte; every
-  // undefined opcode's row is h_Bad.
+  // Dispatch table, indexed by the raw opcode byte (every undefined
+  // opcode's row is h_Bad), then the two fill markers.
 #define B16 \
   &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, \
   &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad
-  static const void* const kDispatch[256] = {
+  static const void* const kDispatch[258] = {
       /*0x00*/ &&h_Nop, &&h_Halt, &&h_Brk, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad,
       &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad,
       &&h_Bad,
@@ -215,20 +257,22 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
       &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad, &&h_Bad,
       &&h_Bad,
       /*0x60*/ B16, /*0x70*/ B16, /*0x80*/ B16, /*0x90*/ B16, /*0xA0*/ B16,
-      /*0xB0*/ B16, /*0xC0*/ B16, /*0xD0*/ B16, /*0xE0*/ B16, /*0xF0*/ B16};
+      /*0xB0*/ B16, /*0xC0*/ B16, /*0xD0*/ B16, /*0xE0*/ B16, /*0xF0*/ B16,
+      /*kFillStb*/ &&h_Fill, /*kFillStw*/ &&h_Fill};
 #undef B16
+  static_assert(PredecodedRom::kFillStb == 0x100 && PredecodedRom::kFillStw == 0x101);
 
   RTCT_FETCH();
   goto* kDispatch[e->op];
 #else
-#define RTCT_OP(name) case Op::k##name:
+#define RTCT_OP(name) case static_cast<std::uint16_t>(Op::k##name):
 #define RTCT_NEXT(cost) \
   RTCT_CHARGE(cost);    \
   continue
 
   for (;;) {
     RTCT_FETCH();
-    switch (static_cast<Op>(e->op)) {
+    switch (e->op) {
 #endif
 
   RTCT_OP(Nop) { RTCT_NEXT(1); }
@@ -264,7 +308,7 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     RTCT_SETZN(v);
     RTCT_NEXT(2);
   }
-  RTCT_OP(Stb) {
+  RTCT_OP(Stb) store_byte: {
     if (!fb_write8(static_cast<std::uint16_t>(regs_[e->a & 0xF] + e->c),
                    static_cast<std::uint8_t>(regs_[e->b & 0xF] & 0xFF))) {
       fault = Fault::kRomWrite;
@@ -272,7 +316,7 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     }
     RTCT_NEXT(2);
   }
-  RTCT_OP(Stw) {
+  RTCT_OP(Stw) store_word: {
     if (!fb_write16(static_cast<std::uint16_t>(regs_[e->a & 0xF] + e->c),
                     regs_[e->b & 0xF])) {
       fault = Fault::kRomWrite;
@@ -486,6 +530,21 @@ int Cpu::run_frame_fast(std::uint8_t* mem, std::uint64_t* dirty_bitmap, Bus& por
     ports.out_port(e->a, regs_[e->b & 0xF]);
     RTCT_NEXT(1);
   }
+
+#if RTCT_DISPATCH_GOTO
+h_Fill:
+#else
+      case PredecodedRom::kFillStb:
+      case PredecodedRom::kFillStw:
+#endif
+  if (const int cycles = fill_all_but_last(regs_, mem, dirty_bitmap, e, cycle_budget - used)) {
+    used += cycles;
+    // The last skipped SUBI took the counter from 2 to 1. Its flags stand
+    // if the last iteration's store faults before its own ADDI and SUBI.
+    z = n = c = false;
+  }
+  if (e->op == PredecodedRom::kFillStb) goto store_byte;
+  goto store_word;
 
 #if !RTCT_DISPATCH_GOTO
       default:

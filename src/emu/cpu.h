@@ -64,6 +64,9 @@ class Cpu {
   ///   * memory runs through `mem` (the 64 KiB space) with an inlined
   ///     write barrier that preserves the ROM-write fault and the
   ///     dirty-page bitmap of ArcadeMachine::write8 exactly;
+  ///   * a counted fill loop the predecode marked runs all but its last
+  ///     iteration as one block store, whenever that is exact (the whole
+  ///     loop fits in the budget and those stores stay in RAM);
   ///   * `ports` is only consulted for IN/OUT (cold);
   ///   * dispatch is computed-goto on GCC/Clang when built with
   ///     RTCT_THREADED_DISPATCH (the default), else a switch; either one

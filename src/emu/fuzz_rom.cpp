@@ -17,6 +17,9 @@ constexpr Op kAluImm[] = {Op::kAddi, Op::kSubi, Op::kAndi, Op::kOri, Op::kXori,
 constexpr Op kMem[] = {Op::kLdb, Op::kLdw, Op::kStb, Op::kStw};
 constexpr Op kJump[] = {Op::kJmp, Op::kJz, Op::kJnz, Op::kJc,
                         Op::kJnc, Op::kJn, Op::kJnn};
+// Fill-loop counts (0 runs 65,536 times) and strides (0xFFFF steps down).
+constexpr std::uint16_t kFillCounts[] = {0, 1, 2, 3, 64, 3072};
+constexpr std::uint16_t kFillStrides[] = {0, 1, 2, 64, 300, 0xFFFF};
 
 template <typename T, std::size_t N>
 T pick(Rng& rng, const T (&arr)[N]) {
@@ -73,7 +76,32 @@ Rom make_fuzz_rom(std::uint64_t seed) {
 
   for (int i = 0; i < body; ++i) {
     const std::int64_t roll = rng.uniform(0, 99);
-    if (roll < 25) {
+    if (roll < 5) {
+      // A counted fill loop (STB/STW, ADDI, SUBI 1, JNZ back), which the
+      // fast interpreter may run as one block store: registers sometimes
+      // aliased, the pointer mostly in RAM, sometimes just below the top
+      // (the stores wrap into ROM) or anywhere.
+      const std::uint8_t ptr = reg();
+      const std::uint8_t value = rng.bernoulli(0.1) ? ptr : reg();
+      const std::uint8_t counter = rng.bernoulli(0.1) ? ptr : reg();
+      const std::int64_t where = rng.uniform(0, 9);
+      const auto target = static_cast<std::uint16_t>(
+          where < 6 ? kRamBase | (rng.next_u64() & 0x7FFF)
+                    : (where < 8 ? 0x10000 - rng.uniform(1, 512) : rng.next_u64()));
+      const auto count = rng.bernoulli(0.5) ? pick(rng, kFillCounts)
+                                            : static_cast<std::uint16_t>(rng.uniform(1, 4000));
+      const auto stride = rng.bernoulli(0.8) ? pick(rng, kFillStrides)
+                                             : static_cast<std::uint16_t>(rng.next_u64());
+      emit_imm(Op::kLdi, value, static_cast<std::uint16_t>(rng.next_u64()));
+      emit_imm(Op::kLdi, counter, count);
+      emit_imm(Op::kLdi, ptr, target);
+      const auto head = static_cast<std::uint16_t>(image.size());
+      emit(rng.bernoulli(0.5) ? Op::kStb : Op::kStw, ptr, value,
+           rng.bernoulli(0.7) ? 0 : byte());
+      emit_imm(Op::kAddi, ptr, stride);
+      emit_imm(Op::kSubi, counter, 1);
+      emit_imm(Op::kJnz, byte(), head);
+    } else if (roll < 25) {
       emit(pick(rng, kAluReg), reg(), reg(), byte());
     } else if (roll < 45) {
       emit_imm(pick(rng, kAluImm), reg(), static_cast<std::uint16_t>(rng.next_u64()));

@@ -8,7 +8,8 @@
 // ROMs biased toward the edges where the two backends could plausibly
 // diverge: the ROM/RAM fetch boundary, unaligned jump targets, stores
 // that fault on ROM, stack traffic through wild pointers, runaway loops
-// hitting the cycle budget, and the occasional invalid opcode. A fuzz ROM
+// hitting the cycle budget, counted fill loops the fast interpreter may
+// run as one block store, and the occasional invalid opcode. A fuzz ROM
 // may fault — faults are part of the observable state being compared, not
 // errors.
 #pragma once

@@ -102,6 +102,23 @@ PredecodedRom::PredecodedRom(std::span<const std::uint8_t> rom_image) {
     e.c = at(addr + 3);
     e.imm = static_cast<std::uint16_t>(e.b | (e.c << 8));
   }
+  // Fill-loop heads: one more pass over the image-sized table, which every
+  // replica builds.
+  constexpr std::size_t kLoopBytes = 4 * kInstrBytes;
+  auto is = [](const Entry& e, Op op) { return e.op == static_cast<std::uint16_t>(op); };
+  for (std::size_t head = 0; head + kLoopBytes <= entries.size(); ++head) {
+    Entry& store = entries[head];
+    const Entry& step = entries[head + kInstrBytes];
+    const Entry& count = entries[head + 2 * kInstrBytes];
+    const Entry& branch = entries[head + 3 * kInstrBytes];
+    if (!is(store, Op::kStb) && !is(store, Op::kStw)) continue;
+    const int ptr = store.a & 0xF, value = store.b & 0xF, counter = count.a & 0xF;
+    if (is(step, Op::kAddi) && (step.a & 0xF) == ptr && is(count, Op::kSubi) &&
+        count.imm == 1 && is(branch, Op::kJnz) && branch.imm == head && ptr != value &&
+        ptr != counter && value != counter) {
+      store.op = is(store, Op::kStb) ? kFillStb : kFillStw;
+    }
+  }
 }
 
 std::string mnemonic(Op op) {

@@ -146,12 +146,26 @@ std::string mnemonic(Op op);
 /// [kLimit, kRamBase) whose window crosses into RAM, and RAM itself, whose
 /// bytes mutate at runtime. Entries keep undefined opcodes as they are: the
 /// interpreter's dispatch table sends them to its bad-opcode handler.
+///
+/// The one rewrite is the fill marker. The head of a counted fill loop
+///   head: STB/STW rP, rV, off ; ADDI rP, k ; SUBI rC, 1 ; JNZ head
+/// whose registers rP, rV and rC are distinct and whose four instructions
+/// all lie in the table gets op kFillStb or kFillStw in place of its STB
+/// or STW byte. Both are above 0xFF, so no byte in memory decodes to them:
+/// only this table's entries reach the fast interpreter's fill handler.
 struct PredecodedRom {
+  /// Dispatch indices of a fill-loop head whose store is STB / STW.
+  static constexpr std::uint16_t kFillStb = 0x100;
+  static constexpr std::uint16_t kFillStw = 0x101;
+  /// Cycles one iteration of a fill loop costs: STB/STW 2, ADDI, SUBI and
+  /// JNZ 1 each (cycle_cost).
+  static constexpr int kFillIterationCycles = 5;
+
   /// 8 bytes, so the fetch turns pc into an entry address with one scaled
   /// index (a 6-byte stride takes two dependent address computations).
   struct alignas(8) Entry {
     std::uint16_t imm = 0;  ///< b | c<<8, precomputed
-    std::uint8_t op = 0;    ///< raw opcode byte
+    std::uint16_t op = 0;   ///< raw opcode byte, or a fill marker
     std::uint8_t a = 0;
     std::uint8_t b = 0;
     std::uint8_t c = 0;

@@ -85,7 +85,7 @@ void expect_equivalent(const Rom& rom, int frames, int cycles_per_frame,
 }
 
 /// Per-instruction-visible state: fault, pc, cycles, every register, the
-/// flags and the save_state bytes.
+/// flags, the save_state bytes and the v2 digest.
 void expect_same_cpu(const ArcadeMachine& fast, const ArcadeMachine& ref) {
   EXPECT_EQ(fast.fault(), ref.fault());
   EXPECT_EQ(fast.cpu().pc(), ref.cpu().pc());
@@ -97,13 +97,15 @@ void expect_same_cpu(const ArcadeMachine& fast, const ArcadeMachine& ref) {
   EXPECT_EQ(fast.cpu().flag_n(), ref.cpu().flag_n());
   EXPECT_EQ(fast.cpu().flag_c(), ref.cpu().flag_c());
   EXPECT_EQ(fast.save_state(), ref.save_state());
+  EXPECT_EQ(fast.state_digest(2), ref.state_digest(2));
 }
 
 /// Steps both backends `frames` frames and compares expect_same_cpu after
 /// every one.
-void expect_same_cpu_every_frame(const Rom& rom, int frames, const std::string& what) {
-  ArcadeMachine fast(rom, fast_cfg());
-  ArcadeMachine ref(rom, ref_cfg());
+void expect_same_cpu_every_frame(const Rom& rom, int frames, const std::string& what,
+                                 int cycles = 100000) {
+  ArcadeMachine fast(rom, fast_cfg(cycles));
+  ArcadeMachine ref(rom, ref_cfg(cycles));
   for (int f = 0; f < frames; ++f) {
     SCOPED_TRACE(::testing::Message() << what << ", frame " << f);
     const auto input = static_cast<InputWord>(0x0301 * (f + 1));
@@ -150,6 +152,33 @@ TEST(FuzzDifferential, StructureAwareRandomRomsAgree) {
     expect_equivalent(rom, 90, 20000, seed ^ 0xF00D, rom.title);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(FuzzDifferential, GeneratorReachesTheCasesItIsFor) {
+  // Guards the generator against dropping its fill loops: over the seeds
+  // above, some ROMs must hold a marked fill-loop head, and some a loop of
+  // the same shape left unmarked because its registers alias.
+  int marked = 0, aliased = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const Rom rom = make_fuzz_rom(seed);
+    const PredecodedRom table(rom.image);
+    bool has_marked = false, has_aliased = false;
+    for (std::size_t head = 0; head + 4 * kInstrBytes <= table.entries.size(); ++head) {
+      const auto& e = table.entries;
+      if (e[head].op > 0xFF) has_marked = true;
+      const bool store = e[head].op == static_cast<std::uint16_t>(Op::kStb) ||
+                         e[head].op == static_cast<std::uint16_t>(Op::kStw);
+      const auto& branch = e[head + 3 * kInstrBytes];
+      if (store && branch.op == static_cast<std::uint16_t>(Op::kJnz) && branch.imm == head &&
+          e[head + kInstrBytes].op == static_cast<std::uint16_t>(Op::kAddi)) {
+        has_aliased = true;
+      }
+    }
+    marked += has_marked ? 1 : 0;
+    aliased += has_aliased ? 1 : 0;
+  }
+  EXPECT_GT(marked, 20);
+  EXPECT_GT(aliased, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,6 +677,190 @@ TEST(OpcodeDifferential, EveryOpcodeByteAgreesFromRomAndFromRam) {
 }
 
 // ---------------------------------------------------------------------------
+// Fill loops
+//
+// PredecodedRom marks the head of `STB/STW rP, rV, off; ADDI rP, k;
+// SUBI rC, 1; JNZ head` when rP, rV and rC are distinct. At a marked head
+// the fast interpreter runs every iteration but the last as one block
+// store, but only when the whole loop fits in the budget and those stores
+// stay in RAM; the last iteration runs through the ordinary handlers.
+// Each ROM below runs one loop per frame, storing a value that follows the
+// frame's input (so a page the block store fails to mark dirty shows in
+// the v2 digest), and is compared with the reference after every frame.
+
+struct FillLoop {
+  const char* store = "STB";
+  int ptr = 4, value = 6, counter = 5;
+  std::uint16_t target = 0xA000;
+  std::uint16_t count = 16;
+  std::uint16_t stride = 1;
+  int offset = 0;
+};
+
+std::string describe(const FillLoop& f) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%s r%d, r%d, %d; ADDI r%d, %u; SUBI r%d, 1 from 0x%04X x %u",
+                f.store, f.ptr, f.value, f.offset, f.ptr, f.stride, f.counter, f.target, f.count);
+  return buf;
+}
+
+/// Frame cost before the loop: IN, LDI, ADD, CMPI, LDI, LDI.
+constexpr int kFillPrologueCycles = 6;
+
+Rom fill_rom(const FillLoop& f) {
+  char source[640];
+  // Later loads win where registers alias: the counter, then the pointer.
+  // The CMPI leaves N and C set, unlike any SUBI of the loop but the last.
+  std::snprintf(source, sizeof source, R"(
+.entry main
+main:
+    IN r1, 0
+    LDI r%d, 0x5A3C
+    ADD r%d, r1
+    CMPI r1, 0x7FFF
+    LDI r%d, %u
+    LDI r%d, %u
+head:
+    %s r%d, r%d, %d
+    ADDI r%d, %u
+    SUBI r%d, 1
+    JNZ head
+    HALT
+    JMP main
+)",
+                f.value, f.value, f.counter, f.count, f.ptr, f.target, f.store, f.ptr, f.value,
+                f.offset, f.ptr, f.stride, f.counter);
+  return must_assemble(source, "fill");
+}
+
+/// Whether the predecode marked the loop head of a fill_rom ROM.
+bool head_marked(const Rom& rom) {
+  constexpr std::size_t kHead = 6 * kInstrBytes;
+  const PredecodedRom table(rom.image);
+  return table.entries[kHead].op == PredecodedRom::kFillStb ||
+         table.entries[kHead].op == PredecodedRom::kFillStw;
+}
+
+void expect_fill_agrees(const FillLoop& f, int frames = 3, int cycles = 100000) {
+  const Rom rom = fill_rom(f);
+  expect_same_cpu_every_frame(rom, frames, describe(f), cycles);
+}
+
+TEST(FillLoopTable, MarksTheShapeOnlyWithDistinctRegisters) {
+  EXPECT_TRUE(head_marked(fill_rom({})));
+  EXPECT_TRUE(head_marked(fill_rom({.store = "STW", .stride = 2})));
+  EXPECT_FALSE(head_marked(fill_rom({.value = 4})));    // rV == rP
+  EXPECT_FALSE(head_marked(fill_rom({.counter = 4})));  // rP == rC
+  EXPECT_FALSE(head_marked(fill_rom({.value = 5})));    // rV == rC
+  // The bundled games' marked heads are all STB/STW bytes in the image,
+  // and every game but torture has one.
+  for (const auto name : games::game_names()) {
+    const Rom& rom = *games::rom_by_name(name);
+    const PredecodedRom table(rom.image);
+    int marked = 0;
+    for (std::size_t addr = 0; addr < table.entries.size(); ++addr) {
+      if (table.entries[addr].op <= 0xFF) continue;
+      ++marked;
+      EXPECT_TRUE(rom.image[addr] == static_cast<std::uint8_t>(Op::kStb) ||
+                  rom.image[addr] == static_cast<std::uint8_t>(Op::kStw))
+          << name << " @" << addr;
+    }
+    // bench/emu_perf's torture ratio floor measures dispatch only while
+    // torture runs no fill loop.
+    EXPECT_EQ(marked == 0, name == "torture") << name;
+  }
+}
+
+TEST(FillLoopDifferential, CountsAndStrides) {
+  for (const char* store : {"STB", "STW"}) {
+    for (const std::uint16_t count : {1, 2, 3, 3072}) {
+      for (const std::uint16_t stride : {1, 2, 64, 0, 300}) {
+        expect_fill_agrees({.store = store, .target = 0x8000, .count = count, .stride = stride});
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(FillLoopDifferential, CountZeroRunsSixtyFiveThousandFiveHundredThirtySixTimes) {
+  // Stride 0 keeps all 65,536 stores on one address: fast-forwarded.
+  expect_fill_agrees({.count = 0, .stride = 0}, 2, 400000);
+  expect_fill_agrees({.store = "STW", .count = 0, .stride = 0}, 2, 400000);
+  // Stride 1 wraps past 0xFFFF into ROM: stepped, and the store faults.
+  expect_fill_agrees({.count = 0, .stride = 1}, 2, 400000);
+  // The whole loop does not fit in the default budget: stepped into the
+  // budget fault.
+  expect_fill_agrees({.count = 0, .stride = 0});
+}
+
+TEST(FillLoopDifferential, AliasedRegistersAreStepped) {
+  expect_fill_agrees({.value = 4, .count = 40});                            // rV == rP
+  expect_fill_agrees({.counter = 4, .target = 0xFF00, .stride = 2});        // rP == rC
+  expect_fill_agrees({.counter = 4, .target = 0xA000, .stride = 3}, 2, 400000);
+  expect_fill_agrees({.value = 5, .count = 300});                           // rV == rC
+  expect_fill_agrees({.store = "STW", .value = 5, .count = 300, .stride = 2});
+}
+
+TEST(FillLoopDifferential, RunsIntoRomAtAChosenIteration) {
+  for (const std::uint16_t at : {1, 2, 100}) {
+    // Upwards: iteration `at` (from 0) wraps to address 0.
+    expect_fill_agrees({.target = static_cast<std::uint16_t>(0x10000 - at), .count = 200});
+    // Downwards (ADDI 0xFFFF steps back by one): iteration `at` stores to
+    // 0x7FFF.
+    expect_fill_agrees({.target = static_cast<std::uint16_t>(0x7FFF + at), .count = 200,
+                        .stride = 0xFFFF});
+    expect_fill_agrees({.store = "STW", .target = static_cast<std::uint16_t>(0x7FFF + at),
+                        .count = 200, .stride = 0xFFFE});
+  }
+  // The offset alone reaches ROM (0x7F00 + 0xFF) or RAM (0x7FF0 + 0x20).
+  expect_fill_agrees({.target = 0x7F00, .count = 50, .offset = 0xFF});
+  expect_fill_agrees({.target = 0x7FF0, .count = 50, .offset = 0x20});
+}
+
+TEST(FillLoopDifferential, StoresEndingAtOrWrappingPast0xFFFF) {
+  expect_fill_agrees({.target = 0xFF00, .count = 256});                               // ends at 0xFFFF
+  expect_fill_agrees({.target = 0xFF00, .count = 257});                               // wraps
+  expect_fill_agrees({.store = "STW", .target = 0xFF00, .count = 128, .stride = 2});  // ends at 0xFFFF
+  expect_fill_agrees({.store = "STW", .target = 0xFF01, .count = 128, .stride = 2});  // last word wraps
+  expect_fill_agrees({.target = 0xFF01, .count = 2, .offset = 0xFF});                 // first store wraps
+}
+
+TEST(FillLoopDifferential, LastStoreFaultingKeepsTheSkippedIterationsFlags) {
+  // All but the last store stay in RAM, so they run as one block; the
+  // last one faults on ROM before its ADDI and SUBI, leaving the flags of
+  // the SUBI before it (the counter went from 2 to 1: Z, N and C clear).
+  // StoresEndingAtOrWrappingPast0xFFFF runs the STB case.
+  expect_fill_agrees({.store = "STW", .target = 0xFF00, .count = 129, .stride = 2});
+  expect_fill_agrees({.store = "STW", .target = 0xEEAF, .count = 2, .stride = 0x23A8});
+  const Rom rom = fill_rom({.target = 0xFF00, .count = 257});
+  ArcadeMachine fast(rom, fast_cfg());
+  fast.step_frame(1);
+  EXPECT_EQ(fast.fault(), Fault::kRomWrite);
+  EXPECT_FALSE(fast.cpu().flag_z() || fast.cpu().flag_n() || fast.cpu().flag_c());
+}
+
+TEST(FillLoopDifferential, BudgetAroundTheLastIteration) {
+  for (const std::uint16_t count : {2, 3, 3072}) {
+    for (const char* store : {"STB", "STW"}) {
+      const FillLoop f{.store = store, .count = count, .stride = 2};
+      const int loop_end = kFillPrologueCycles + count * PredecodedRom::kFillIterationCycles;
+      // The loop's last JNZ lands exactly on the budget; the budget is one
+      // cycle short of that (the loop no longer fits); the HALT after the
+      // loop lands exactly on it.
+      for (const int budget : {loop_end, loop_end - 1, loop_end + 1}) {
+        SCOPED_TRACE(::testing::Message() << "budget " << budget);
+        expect_fill_agrees(f, 3, budget);
+      }
+      ArcadeMachine fast(fill_rom(f), fast_cfg(loop_end));
+      fast.step_frame(1);
+      EXPECT_EQ(fast.fault(), Fault::kBudgetExceeded);  // on the HALT after the loop
+      EXPECT_EQ(fast.last_frame_cycles(), loop_end + 1);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Backend identification sanity: the build knows which dispatcher it is
 // running, and the reference flag actually selects the other path (guards
 // against a refactor silently routing both configs to one backend).
@@ -757,8 +970,8 @@ INSTANTIATE_TEST_SUITE_P(AllGames, Agent86GameDifferential, ::testing::ValuesIn(
 // Mostly well-formed instructions over mostly valid registers, with the
 // hostile cases mixed in: stores through registers that point into the
 // program's own pages (self-modifying code, including the page about to
-// run), wild jump and call targets, bad registers, bad opcodes, INT3 and
-// runaway loops. The load address is usually 0x0100, sometimes mid-page
+// run), wild jump and call targets, bad registers, bad opcodes, INT3,
+// runaway loops, and counted fill loops over all of those. The load address is usually 0x0100, sometimes mid-page
 // (instructions straddle page ends at new offsets), and sometimes near
 // 0xFF00, so that fetches and the image itself wrap around 0xFFFF.
 
@@ -803,7 +1016,33 @@ Program make_a86_fuzz_program(std::uint64_t seed) {
 
   for (int i = 0; i < body; ++i) {
     const std::int64_t roll = rng.uniform(0, 99);
-    if (roll < 18) {
+    if (roll < 4) {
+      // A counted fill loop (store, ADD or INC, LOOP back), which the fast
+      // path may run as one block store: registers sometimes aliased, the
+      // pointer at video, a data page, the program itself or near 0xFFFF.
+      const std::uint8_t ptr = rng.bernoulli(0.9) ? reg() : static_cast<std::uint8_t>(CX);
+      const std::uint8_t value = rng.bernoulli(0.1) ? ptr : reg();
+      const std::int64_t where = rng.uniform(0, 3);
+      const auto target = static_cast<std::uint16_t>(
+          where == 0 ? 0xB800 + rng.uniform(0, 0x7FF)
+                     : where == 1 ? rng.uniform(0x4000, 0x6000)
+                                  : where == 2 ? org + rng.uniform(0, 3 * body) : 0xFF00 + byte());
+      const auto count = static_cast<std::uint16_t>(rng.bernoulli(0.3) ? rng.uniform(0, 3)
+                                                                        : rng.uniform(4, 420));
+      const std::uint16_t stride = rng.bernoulli(0.2) ? byte() : static_cast<std::uint16_t>(rng.uniform(0, 2));
+      prog.push_back({{kMovRI, value, byte(), byte()}});
+      prog.push_back({{kMovRI, CX, static_cast<std::uint8_t>(count), static_cast<std::uint8_t>(count >> 8)}});
+      prog.push_back({{kMovRI, ptr, static_cast<std::uint8_t>(target), static_cast<std::uint8_t>(target >> 8)}});
+      const int head = static_cast<int>(prog.size());
+      prog.push_back({{static_cast<std::uint8_t>(rng.bernoulli(0.5) ? kStB : kStW), rr(ptr, value),
+                       static_cast<std::uint8_t>(rng.bernoulli(0.7) ? 0 : byte())}});
+      if (rng.bernoulli(0.3)) {
+        prog.push_back({{kInc, ptr}});
+      } else {
+        prog.push_back({{kAddRI, ptr, static_cast<std::uint8_t>(stride), static_cast<std::uint8_t>(stride >> 8)}});
+      }
+      prog.push_back({{kLoop, 0, 0}, head - prelude});
+    } else if (roll < 18) {
       const auto op = static_cast<std::uint8_t>(rng.bernoulli(0.15) ? std::int64_t{kCmpRR} : kAddRR + rng.uniform(0, 7));
       prog.push_back({{op, rr(reg(), reg())}});
     } else if (roll < 30) {
@@ -887,14 +1126,26 @@ TEST(Agent86FuzzDifferential, StructureAwareRandomProgramsAgree) {
   }
 }
 
+/// How many fill-loop heads `p`'s predecode marked in its image.
+int a86_fill_heads(const Program& p) {
+  const auto table = PredecodedProgram::shared(p);
+  int heads = 0;
+  for (std::size_t i = 0; i < p.image.size() && p.org + i < kMemSize; ++i) {
+    const std::uint8_t op = table->entries()[p.org + i].op;
+    if (op == kXFillB || op == kXFillW) ++heads;
+  }
+  return heads;
+}
+
 TEST(Agent86FuzzDifferential, GeneratorReachesTheCasesItIsFor) {
   // Guards the generator against drifting into tame programs: over the
-  // seeds above, some programs must wrap, fault on a bad register, and
-  // store into their own pages.
-  int wrapped = 0, bad_reg = 0, self_modified = 0;
+  // seeds above, some programs must wrap, fault on a bad register, store
+  // into their own pages, and hold a marked fill-loop head.
+  int wrapped = 0, bad_reg = 0, self_modified = 0, fill_loops = 0;
   for (std::uint64_t seed = 1; seed <= kA86FuzzSeeds; ++seed) {
     const Program p = make_a86_fuzz_program(seed);
     if (p.org + p.image.size() > kMemSize) ++wrapped;
+    if (a86_fill_heads(p) > 0) ++fill_loops;
     Agent86Machine m(p, a86_cfg(false, 3000));
     for (int f = 0; f < 24 && !m.faulted(); ++f) m.step_frame(static_cast<InputWord>(f));
     if (m.fault() == Fault::kBadReg) ++bad_reg;
@@ -908,6 +1159,7 @@ TEST(Agent86FuzzDifferential, GeneratorReachesTheCasesItIsFor) {
   EXPECT_GT(wrapped, 10);
   EXPECT_GT(bad_reg, 10);
   EXPECT_GT(self_modified, 50);
+  EXPECT_GT(fill_loops, 100);
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,6 +1383,222 @@ s_set:
     expect_same_frame(fast, ref, "zf-sf", f);
   }
   EXPECT_EQ(fast.save_state(), ref.save_state());
+}
+
+// ---------------------------------------------------------------------------
+// Fill loops
+//
+// The predecode marks the head of `MOV/MOVB [rP+d], rV; ADD rP, k | INC rP;
+// LOOP head` when the loop lies in one page and rP, rV and CX are
+// distinct. At a marked head the fast interpreter runs every iteration but
+// the last as one block store, but only when the whole loop fits in the
+// budget and those stores neither wrap past 0xFFFF nor touch the loop's
+// own page. Each program stores a value that follows the frame's input
+// and is compared with the reference after every frame.
+
+struct A86Fill {
+  bool word = false;
+  Reg ptr = DI, value = AX, counter = CX;  ///< `counter` only loads; LOOP counts CX
+  std::uint16_t target = 0xB800;
+  std::uint16_t count = 16;
+  int stride = 1;  ///< ADD rP, stride; -1 for INC rP
+  int disp = 0;
+  std::uint16_t org = kDefaultOrg;
+};
+
+const char* reg_name(Reg r) {
+  static const char* const kNames[] = {"AX", "BX", "CX", "DX", "SI", "DI", "SP"};
+  return kNames[r];
+}
+
+/// The loop's store and step instructions, joined by `sep`.
+std::string loop_body(const A86Fill& f, const char* sep) {
+  char body[80];
+  const int n = std::snprintf(body, sizeof body, "%s [%s+%d], %s%s", f.word ? "MOV" : "MOVB",
+                              reg_name(f.ptr), f.disp, reg_name(f.value), sep);
+  if (f.stride < 0) {
+    std::snprintf(body + n, sizeof body - n, "INC %s", reg_name(f.ptr));
+  } else {
+    std::snprintf(body + n, sizeof body - n, "ADD %s, %d", reg_name(f.ptr), f.stride);
+  }
+  return body;
+}
+
+std::string describe(const A86Fill& f) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%s; LOOP from 0x%04X x %u", loop_body(f, "; ").c_str(), f.target,
+                f.count);
+  return buf;
+}
+
+/// Frame cost before the loop: MOV, MOVB load, ADD, MOV, MOV.
+constexpr int kA86FillPrologueCycles = 2 + 3 + 2 + 2 + 2;
+
+/// The source of an A86Fill frame; `tail` goes after the frame's HLT/JMP.
+std::string a86_fill_source(const A86Fill& f, const std::string& tail = "") {
+  // The input pointer lives in a register the loop does not use.
+  Reg scratch = SI;
+  for (const Reg r : {SI, DX, BX}) {
+    if (r != f.ptr && r != f.value && r != f.counter) {
+      scratch = r;
+      break;
+    }
+  }
+  char source[640];
+  // Later loads win where registers alias: the counter, then the pointer.
+  std::snprintf(source, sizeof source, R"(
+        ORG %u
+main:
+        MOV %s, 0xF800
+        MOVB %s, [%s]
+        ADD %s, 0x5A3C
+        MOV %s, %u
+        MOV %s, %u
+head:
+        %s
+        LOOP head
+        HLT
+        JMP main
+)",
+                f.org, reg_name(scratch), reg_name(f.value), reg_name(scratch), reg_name(f.value),
+                reg_name(f.counter), f.count, reg_name(f.ptr), f.target, loop_body(f, "\n        ").c_str());
+  return source + tail;
+}
+
+/// Steps both backends and compares fault, ip, cycles, registers, the v1
+/// hash and v2 digest, tone, debug log and save_state bytes every frame.
+void expect_same_a86_every_frame(const Program& p, int frames, int cycles, const std::string& what) {
+  Agent86Machine fast(p, a86_cfg(false, cycles));
+  Agent86Machine ref(p, a86_cfg(true, cycles));
+  for (int f = 0; f < frames; ++f) {
+    const auto input = static_cast<InputWord>(0x0301 * (f + 1));
+    fast.step_frame(input);
+    ref.step_frame(input);
+    expect_same_frame(fast, ref, what, f);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(fast.ip(), ref.ip()) << what << ", frame " << f;
+    for (int r = 0; r < kNumRegs; ++r) {
+      EXPECT_EQ(fast.reg(static_cast<Reg>(r)), ref.reg(static_cast<Reg>(r)))
+          << what << ", frame " << f << ", register " << reg_name(static_cast<Reg>(r));
+    }
+    EXPECT_EQ(fast.save_state(), ref.save_state()) << what << ", frame " << f;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+void expect_a86_fill_agrees(const A86Fill& f, int frames = 3, int cycles = kA86Budget) {
+  const std::string what = describe(f);
+  const auto result = assemble(a86_fill_source(f), "a86-fill");
+  ASSERT_TRUE(result.ok()) << what << ": " << result.error_text();
+  expect_same_a86_every_frame(result.program, frames, cycles, what);
+}
+
+TEST(Agent86FillLoopTable, MarksTheShapeOnlyWithDistinctRegistersInOnePage) {
+  auto heads = [](const A86Fill& f) { return a86_fill_heads(must_assemble_a86(a86_fill_source(f).c_str(), "t")); };
+  EXPECT_EQ(heads({}), 1);
+  EXPECT_EQ(heads({.word = true, .stride = 2}), 1);
+  EXPECT_EQ(heads({.stride = -1}), 1);
+  EXPECT_EQ(heads({.value = DI}), 0);    // rV == rP
+  EXPECT_EQ(heads({.ptr = CX}), 0);      // rP == CX
+  EXPECT_EQ(heads({.value = CX}), 0);    // rV == CX
+  // The prologue is 19 bytes and the loop 10, so an ORG of 0x01ED puts
+  // the head at 0x0200 and one of 0x01E7 puts the loop across the page
+  // end (0x01FA–0x0203).
+  EXPECT_EQ(heads({.org = 0x01ED}), 1);
+  EXPECT_EQ(heads({.org = 0x01E7}), 0);
+  // The bundled games' clear loops are marked.
+  for (const auto name : {"skirmish", "pong"}) {
+    EXPECT_GT(a86_fill_heads(*program_by_name(name)), 0) << name;
+  }
+}
+
+TEST(Agent86FillLoopDifferential, CountsAndStrides) {
+  for (const bool word : {false, true}) {
+    for (const std::uint16_t count : {1, 2, 3, 3072}) {
+      for (const int stride : {-1, 1, 2, 64, 0, 300}) {
+        expect_a86_fill_agrees({.word = word, .count = count, .stride = stride});
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Agent86FillLoopDifferential, CountZeroRunsSixtyFiveThousandFiveHundredThirtySixTimes) {
+  // Stride 0 keeps all 65,536 stores on one address: fast-forwarded.
+  expect_a86_fill_agrees({.count = 0, .stride = 0}, 2, 500000);
+  expect_a86_fill_agrees({.word = true, .count = 0, .stride = 0}, 2, 500000);
+  // INC wraps past 0xFFFF and over the program: stepped.
+  expect_a86_fill_agrees({.count = 0, .stride = -1}, 2, 500000);
+  // Does not fit in the default budget: stepped into the budget fault.
+  expect_a86_fill_agrees({.count = 0, .stride = 0});
+}
+
+TEST(Agent86FillLoopDifferential, AliasedRegistersAreStepped) {
+  expect_a86_fill_agrees({.value = DI, .count = 40});                          // rV == rP
+  expect_a86_fill_agrees({.ptr = CX, .target = 0xB800, .stride = 2}, 2, 500000);  // rP == CX
+  expect_a86_fill_agrees({.value = CX, .count = 300});                         // rV == CX
+  expect_a86_fill_agrees({.word = true, .value = CX, .count = 300, .stride = 2});
+}
+
+TEST(Agent86FillLoopDifferential, StoresEndingAtOrWrappingPast0xFFFF) {
+  expect_a86_fill_agrees({.target = 0xFF00, .count = 256});                              // ends at 0xFFFF
+  expect_a86_fill_agrees({.target = 0xFF00, .count = 300});                              // wraps to 0x0000
+  expect_a86_fill_agrees({.word = true, .target = 0xFF00, .count = 128, .stride = 2});  // ends at 0xFFFF
+  expect_a86_fill_agrees({.word = true, .target = 0xFF01, .count = 128, .stride = 2});  // last word wraps
+  expect_a86_fill_agrees({.target = 0xFFF0, .count = 2, .disp = 0x20});                // first store wraps
+  // Wrapping far enough to run over the program's own code.
+  expect_a86_fill_agrees({.target = 0xFFF0, .count = 0x140, .stride = -1}, 3, 500000);
+}
+
+TEST(Agent86FillLoopDifferential, StoresOverTheLoopsOwnPage) {
+  // The program occupies 0x0100–0x0120 and the loop 0x0113–0x011C.
+  // Stores into the rest of the page, and stores over the loop itself
+  // (zeros are NOPs, so the loop unravels into a NOP slide).
+  expect_a86_fill_agrees({.target = 0x0180, .count = 0x40});
+  expect_a86_fill_agrees({.target = 0x00F0, .count = 0x20});
+  expect_a86_fill_agrees({.value = BX, .target = 0x0108, .count = 0x30}, 3, 500000);
+  expect_a86_fill_agrees({.word = true, .target = 0x0100, .count = 0x20, .stride = 2}, 3, 500000);
+}
+
+TEST(Agent86FillLoopDifferential, StoresOverAnotherRoutinesValidCodePage) {
+  // `patch` sits in page 3, untouched since load, so its entries are in
+  // use. The first store overwrites its immediate and the last one lands
+  // in a later page, so only the block store writes page 3, and the CALL
+  // after the loop must see the new bytes.
+  for (const int stride : {64, 300}) {
+    const A86Fill f{.word = true, .target = 0x03F2, .count = 2, .stride = stride};
+    std::string source = a86_fill_source(f, R"(
+        ORG 0x03F0
+patch:
+        MOV BX, 0x1111
+        RET
+)");
+    source.replace(source.find("        HLT\n"), 0, "        CALL patch\n");
+    const Program p = must_assemble_a86(source.c_str(), "a86-fill-patch");
+    for (const bool reference : {false, true}) {
+      Agent86Machine m(p, a86_cfg(reference));
+      m.step_frame(0x0005);
+      EXPECT_EQ(m.reg(BX), m.reg(AX)) << "stride " << stride << ", reference=" << reference;
+    }
+    expect_same_a86_every_frame(p, 4, kA86Budget, describe(f) + " over patch");
+  }
+}
+
+TEST(Agent86FillLoopDifferential, BudgetAroundTheLastIteration) {
+  for (const std::uint16_t count : {2, 3, 3072}) {
+    for (const int stride : {-1, 2}) {
+      const A86Fill f{.word = true, .count = count, .stride = stride};
+      const int iteration = stride < 0 ? 3 + 1 + 2 : 3 + 2 + 2;
+      const int loop_end = kA86FillPrologueCycles + count * iteration;
+      // The whole loop fits exactly; one cycle short of that; room for
+      // the HLT after it.
+      for (const int budget : {loop_end, loop_end - 1, loop_end + 1}) {
+        SCOPED_TRACE(::testing::Message() << "budget " << budget);
+        expect_a86_fill_agrees(f, 3, budget);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace
