@@ -11,7 +11,7 @@
 //
 // The JSON mode carries the perf acceptance gates (exit code != 0 on any
 // failure):
-//   * sparse-frame v2 digest >= 5x faster than the full v1 rehash (the
+//   * sparse-frame v3 digest >= 5x faster than the full v1 rehash (the
 //     incremental dirty-page digest must actually be incremental);
 //   * duel fast-interpreter step >= 6x faster than the reference
 //     interpreter measured in the same process (sanitized builds too);
@@ -25,7 +25,7 @@
 //   * the sparse scenario must not regress: its fast step stays within
 //     1.5x of the reference step;
 //   * agent86:skirmish rollback restore (load_state of a snapshot 4 frames
-//     old + the v2 digest after it) at most a third of the full v1 rehash:
+//     old + the v3 digest after it) at most a third of the full v1 rehash:
 //     restore must dirty only the pages the rollback actually changes;
 //   * agent86:skirmish fast-interpreter step >= 1.5x faster than its
 //     reference interpreter measured in the same process.
@@ -140,7 +140,7 @@ void BM_CoreStateDigestPerFrame(benchmark::State& state, const char* qualified,
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_CoreStateDigestPerFrame, a86_skirmish_v1, "agent86:skirmish", 1);
-BENCHMARK_CAPTURE(BM_CoreStateDigestPerFrame, a86_skirmish_v2, "agent86:skirmish", 2);
+BENCHMARK_CAPTURE(BM_CoreStateDigestPerFrame, a86_skirmish_v3, "agent86:skirmish", 3);
 
 void BM_StateHash(benchmark::State& state) {
   auto m = games::make_machine("duel");
@@ -149,8 +149,8 @@ void BM_StateHash(benchmark::State& state) {
 }
 BENCHMARK(BM_StateHash);
 
-// Per-frame digest cost, v1 (full image) vs v2 (dirty pages only). The
-// step_frame inside the loop is what makes this honest: v2's cost is a
+// Per-frame digest cost, v1 (full image) vs v3 (dirty pages only). The
+// step_frame inside the loop is what makes this honest: v3's cost is a
 // function of the pages each frame dirties, so it must be measured on a
 // freshly-stepped machine, not a quiescent one.
 void BM_StateDigestPerFrame(benchmark::State& state, const char* game, int version) {
@@ -163,7 +163,7 @@ void BM_StateDigestPerFrame(benchmark::State& state, const char* game, int versi
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_StateDigestPerFrame, duel_v1, "duel", 1);
-BENCHMARK_CAPTURE(BM_StateDigestPerFrame, duel_v2, "duel", 2);
+BENCHMARK_CAPTURE(BM_StateDigestPerFrame, duel_v3, "duel", 3);
 
 void BM_SaveState(benchmark::State& state) {
   auto m = games::make_machine("duel");
@@ -226,7 +226,7 @@ std::int64_t now_ns() {
 }
 
 /// A deliberately sparse workload: one RAM byte written per frame, so the
-/// v2 digest has exactly one dirty page to rehash. This is the far end of
+/// v3 digest has exactly one dirty page to rehash. This is the far end of
 /// the sparseness spectrum real games sit on (duel is the other point).
 std::unique_ptr<emu::IDeterministicGame> make_sparse_machine(emu::MachineConfig cfg) {
   const std::string source = R"asm(
@@ -256,12 +256,12 @@ struct ScenarioPoint {
   double ref_step_ns = 0;   ///< reference byte-fetch interpreter
   double step_speedup = 0;  ///< ref / fast, same process, same inputs
   double digest_v1_ns = 0;
-  double digest_v2_ns = 0;
-  double speedup = 0;  ///< digest v1 / v2
+  double digest_v3_ns = 0;
+  double speedup = 0;  ///< digest v1 / v3
   double save_state_ns = 0;
   double save_state_into_ns = 0;
-  /// load_state of the snapshot taken 4 frames earlier + state_digest(2):
-  /// the fixed cost of one rollback before re-simulation starts.
+  /// load_state of the snapshot taken 4 frames earlier + the v3 digest: the
+  /// fixed cost of one rollback before re-simulation starts.
   double restore_digest_ns = 0;
   /// Derived capacity figure: 60 Hz emulation sessions one core could in
   /// principle sustain on step cost alone (1e9 / step_ns / 60).
@@ -282,7 +282,7 @@ double time_digest(emu::IDeterministicGame& m, int version, int frames) {
 }
 
 /// Mean ns of a rollback restore: snapshot, step 4 frames (digesting each,
-/// like the drivers), then time load_state(snapshot) + state_digest(2);
+/// like the drivers), then time load_state(snapshot) + the v3 digest;
 /// re-simulating the 4 frames moves the machine on for the next round.
 double time_restore_digest(emu::IDeterministicGame& m, int rounds) {
   constexpr int kDepth = 4;
@@ -292,11 +292,11 @@ double time_restore_digest(emu::IDeterministicGame& m, int rounds) {
     m.save_state_into(snap);
     for (int j = 0; j < kDepth; ++j) {
       m.step_frame(0x0404);
-      benchmark::DoNotOptimize(m.state_digest(2));
+      benchmark::DoNotOptimize(m.state_digest(emu::kStateDigestVersion));
     }
     const std::int64_t t0 = now_ns();
     benchmark::DoNotOptimize(m.load_state(snap));
-    benchmark::DoNotOptimize(m.state_digest(2));
+    benchmark::DoNotOptimize(m.state_digest(emu::kStateDigestVersion));
     total += now_ns() - t0;
     for (int j = 0; j < kDepth; ++j) m.step_frame(0x0404);
   }
@@ -344,8 +344,8 @@ ScenarioPoint measure_scenario(const std::string& name, const MachineFactory& ma
   p.sessions_per_core = 1e9 / p.step_ns / 60.0;
 
   p.digest_v1_ns = time_digest(*fast, 1, kDigestFrames);
-  p.digest_v2_ns = time_digest(*fast, 2, kDigestFrames);
-  p.speedup = p.digest_v1_ns / p.digest_v2_ns;
+  p.digest_v3_ns = time_digest(*fast, emu::kStateDigestVersion, kDigestFrames);
+  p.speedup = p.digest_v1_ns / p.digest_v3_ns;
 
   {
     const std::int64_t t0 = now_ns();
@@ -394,12 +394,12 @@ int run_json_mode(const std::string& path) {
               kSanitized ? " (sanitized build)" : "");
   std::printf("%-10s %10s %12s %8s %12s %12s %8s %13s %13s %10s\n", "scenario",
               "step ns", "ref step ns", "speedup", "digest v1 ns",
-              "digest v2 ns", "speedup", "save_state ns", "restore ns", "sess/core");
+              "digest v3 ns", "speedup", "save_state ns", "restore ns", "sess/core");
   std::string scenario_csv;
   for (const auto& p : points) {
     std::printf("%-10s %10.0f %12.0f %7.1fx %12.0f %12.0f %7.1fx %13.0f %13.0f %10.0f\n",
                 p.scenario.c_str(), p.step_ns, p.ref_step_ns, p.step_speedup,
-                p.digest_v1_ns, p.digest_v2_ns, p.speedup, p.save_state_ns,
+                p.digest_v1_ns, p.digest_v3_ns, p.speedup, p.save_state_ns,
                 p.restore_digest_ns, p.sessions_per_core);
     if (!scenario_csv.empty()) scenario_csv += ',';
     scenario_csv += p.scenario;
@@ -429,7 +429,7 @@ int run_json_mode(const std::string& path) {
   series("ref_step_ns", [](const ScenarioPoint& p) { return p.ref_step_ns; });
   series("step_speedup", [](const ScenarioPoint& p) { return p.step_speedup; });
   series("digest_v1_ns", [](const ScenarioPoint& p) { return p.digest_v1_ns; });
-  series("digest_v2_ns", [](const ScenarioPoint& p) { return p.digest_v2_ns; });
+  series("digest_v3_ns", [](const ScenarioPoint& p) { return p.digest_v3_ns; });
   series("digest_speedup", [](const ScenarioPoint& p) { return p.speedup; });
   series("save_state_ns", [](const ScenarioPoint& p) { return p.save_state_ns; });
   series("save_state_into_ns",
@@ -466,7 +466,7 @@ int run_json_mode(const std::string& path) {
   std::vector<Gate> gates;
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "sparse digest speedup (v1/v2) %.1fx >= 5x", sparse.speedup);
+                "sparse digest speedup (v1/v3) %.1fx >= 5x", sparse.speedup);
   gates.push_back({buf, sparse.speedup >= 5.0});
   std::snprintf(buf, sizeof buf,
                 "duel fast-vs-reference step speedup %.2fx >= %.1fx",
@@ -490,12 +490,12 @@ int run_json_mode(const std::string& path) {
   } else {
     std::printf("gate SKIP: absolute duel step bound (sanitized build)\n");
   }
-  // agent86 gates: (a) a genuinely incremental v2 digest, (b) the fast
+  // agent86 gates: (a) a genuinely incremental v3 digest, (b) the fast
   // path's same-run win over its reference interpreter, and (c) an
   // absolute step budget far under the 16.7 ms frame (the
   // substrate-sanity claim, per core).
   std::snprintf(buf, sizeof buf,
-                "agent86:skirmish digest speedup (v1/v2) %.1fx >= 5x",
+                "agent86:skirmish digest speedup (v1/v3) %.1fx >= 5x",
                 a86->speedup);
   gates.push_back({buf, a86->speedup >= 5.0});
   std::snprintf(buf, sizeof buf,

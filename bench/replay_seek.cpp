@@ -57,7 +57,6 @@ core::Replay record_session(const char* game, int frames, int interval, Rng rng,
                             std::vector<std::uint64_t>* linear_digests) {
   auto m = cores::make_game(game);
   core::SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = interval;
   core::Replay rec(m->content_id(), cfg, m->content_name());
   linear_digests->clear();
@@ -66,7 +65,7 @@ core::Replay record_session(const char* game, int frames, int interval, Rng rng,
     const auto input = static_cast<InputWord>(rng.next_u64());
     m->step_frame(input);
     rec.record(input);
-    linear_digests->push_back(m->state_digest(2));
+    linear_digests->push_back(m->state_digest(emu::kStateDigestVersion));
     if (rec.keyframe_due()) rec.record_keyframe(*m);
   }
   return rec;
@@ -88,8 +87,7 @@ SeekPoint run_point(const char* game, int frames, int interval, int seeks) {
   // genesis.
   const core::Replay v1 = [&] {
     core::SyncConfig cfg;
-    cfg.digest_v2 = true;
-    cfg.replay_keyframe_interval = 0;
+      cfg.replay_keyframe_interval = 0;
     core::Replay r(rec.content_id(), cfg);
     for (FrameNo f = 0; f < rec.frames(); ++f) {
       r.record(rec.inputs()[static_cast<std::size_t>(f)]);
@@ -107,13 +105,13 @@ SeekPoint run_point(const char* game, int frames, int interval, int seeks) {
     const auto target = static_cast<FrameNo>(targets.uniform(0, frames - 1));
     core::Replay::SeekStats st;
     std::int64_t t0 = now_ns();
-    const auto digest = rec.seek(*m, target, /*digest_version=*/2, &st);
+    const auto digest = rec.seek(*m, target, emu::kStateDigestVersion, &st);
     seek_total += now_ns() - t0;
     resim_total += st.resimulated;
 
     core::Replay::SeekStats lst;
     t0 = now_ns();
-    const auto linear_digest = v1.seek(*m, target, /*digest_version=*/2, &lst);
+    const auto linear_digest = v1.seek(*m, target, emu::kStateDigestVersion, &lst);
     linear_total += now_ns() - t0;
     linear_resim_total += lst.resimulated;
 

@@ -37,7 +37,7 @@ out="build-asan/BENCH_check_sweep.json"
 ./build-asan/bench/sync_sweep 120 --json "$out"
 ./build-asan/tools/rtct_trace --check "$out"
 
-echo "==> emulator hot-path bench (digest v2 speedup gate)"
+echo "==> emulator hot-path bench (digest v3 speedup gate)"
 out="build-asan/BENCH_emu_perf.json"
 ./build-asan/bench/emu_perf --json "$out"
 ./build-asan/tools/rtct_trace --check "$out"
@@ -47,7 +47,7 @@ echo "==> portable-dispatch leg (RTCT_THREADED_DISPATCH=OFF: switch backend)"
 # switch one honest with a dedicated build running the CPU + differential
 # suites. Correctness only — the perf gates run on computed-goto builds
 # (the sanitized full suite above, and plain ctest for absolute numbers).
-# golden_digest_test pins every game's v1/v2 digest chains, so this leg
+# golden_digest_test pins every game's v1/v3 digest chains, so this leg
 # proves the switch backend produces the same digests as the others;
 # golden_timeline_test pins whole testbed timelines, which embed state
 # digests, so the switch backend must reproduce those too.

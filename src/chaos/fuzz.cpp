@@ -224,7 +224,6 @@ std::vector<std::uint8_t> synthetic_state(std::size_t len, std::uint8_t tag) {
 /// synthetic state each).
 core::Replay sample_replay(bool v2, std::string game_name = {}) {
   core::SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = v2 ? 4 : 0;
   core::Replay r(0x1234'5678'9abc'def0ull, cfg, std::move(game_name));
   for (int i = 0; i < 10; ++i) r.record(static_cast<InputWord>(i * 3 + 1));
@@ -508,12 +507,16 @@ std::vector<CorpusEntry> build_corpus() {
     add_replay("rpl2_magic_v1_version", std::move(c), true);
   }
   {
-    // digest_version outside {1,2}: a reader that guessed would compare
-    // incomparable hashes.
+    // digest_version outside {1,3}: a reader that guessed would compare
+    // incomparable hashes. Version 2 is the retired one.
     auto b = v2;
     b[kOffDigestVer] = 7;
     fix_crc(&b);
     add_replay("rpl2_digest_version_bad", std::move(b), true);
+    auto c = v2;
+    c[kOffDigestVer] = 2;
+    fix_crc(&c);
+    add_replay("rpl2_digest_version_2", std::move(c), true);
   }
   {
     // Keyframe state length of 2 MiB (over the 1 MiB cap, and over the
@@ -577,7 +580,6 @@ std::optional<std::string> fuzz_replay(std::uint64_t seed, int iterations, FuzzS
       // A structurally valid container with randomized shape...
       const bool v2 = rng.bernoulli(0.7);
       core::SyncConfig cfg;
-      cfg.digest_v2 = rng.bernoulli(0.5);
       cfg.replay_keyframe_interval = v2 ? static_cast<int>(rng.uniform(1, 8)) : 0;
       core::Replay r(rng.next_u64(), cfg);
       const auto frames = static_cast<int>(rng.uniform(0, 24));

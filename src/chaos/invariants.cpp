@@ -216,7 +216,7 @@ std::vector<Violation> check_two_site(const testbed::ExperimentConfig& cfg,
               reported = true;
             }
           },
-          cfg.sync.digest_version());
+          emu::kStateDigestVersion);
       if (!applied) {
         v.push_back({"rollback-twin", -1,
                      std::string(names[i]) + " replay refused to apply to its twin"});

@@ -41,29 +41,4 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   return h.digest();
 }
 
-void fnv1a64_blocks(std::span<const std::uint8_t* const> blocks, std::size_t block_len,
-                    std::span<std::uint64_t> out) {
-  std::size_t b = 0;
-  // Four named scalar chains, so the multiplies of different chains
-  // overlap. An array of chains gets auto-vectorized into shift/add
-  // multiplies no faster than one chain, and byte loads beat extracting
-  // bytes from 8-byte words here.
-  for (; b + 4 <= blocks.size(); b += 4) {
-    const std::uint8_t *p0 = blocks[b], *p1 = blocks[b + 1], *p2 = blocks[b + 2],
-                       *p3 = blocks[b + 3];
-    std::uint64_t h0 = kFnvOffset, h1 = kFnvOffset, h2 = kFnvOffset, h3 = kFnvOffset;
-    for (std::size_t i = 0; i < block_len; ++i) {
-      h0 = (h0 ^ p0[i]) * kFnvPrime;
-      h1 = (h1 ^ p1[i]) * kFnvPrime;
-      h2 = (h2 ^ p2[i]) * kFnvPrime;
-      h3 = (h3 ^ p3[i]) * kFnvPrime;
-    }
-    out[b] = h0;
-    out[b + 1] = h1;
-    out[b + 2] = h2;
-    out[b + 3] = h3;
-  }
-  for (; b < blocks.size(); ++b) out[b] = fnv1a64({blocks[b], block_len});
-}
-
 }  // namespace rtct

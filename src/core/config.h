@@ -48,15 +48,6 @@ struct SyncConfig {
   /// interval of bandwidth.
   int hash_interval = 60;
 
-  /// Incremental state-digest capability (v3 handshake). When both sites
-  /// advertise it the session compares version-2 digests — the emulator's
-  /// O(dirty pages) dirty-page digest — instead of rehashing the full
-  /// 64 KiB mutable state (version 1) every hash interval; either side
-  /// opting out downgrades both to version 1. On by default, unlike the
-  /// adaptive-transport knobs below: it changes only the fingerprint
-  /// function, never any timing the Figure 1/2 reproductions depend on.
-  bool digest_v2 = true;
-
   /// Embed a full save-state keyframe into the session recording every N
   /// frames (0 disables, producing the linear RTCTRPL1 container). Purely
   /// local — never negotiated, never on the wire; it only sizes the
@@ -114,9 +105,6 @@ struct SyncConfig {
   Dur min_rto = milliseconds(10);
   Dur max_rto = seconds(2);
 
-  /// The state-digest version this site is capable of comparing.
-  [[nodiscard]] int digest_version() const { return digest_v2 ? 2 : 1; }
-
   [[nodiscard]] Dur frame_period() const { return rtct::frame_period(cfps); }
   /// The local-lag duration: how long a player waits to see her own input.
   [[nodiscard]] Dur local_lag() const { return buf_frames * frame_period(); }
@@ -135,9 +123,9 @@ struct SyncConfig {
 
 /// Wire protocol version (checked in the session handshake). v2 added the
 /// RTT advert / adaptive-lag negotiation fields to HELLO and START; v3
-/// added the START flags byte carrying the negotiated state-digest
-/// version. Older peers are rejected (START changed shape in v3, and the
-/// v2 lag semantics were already incompatible with v1).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// added the START flags byte; v4 compares only version-3 state digests,
+/// so there is no digest version left to negotiate. Older peers are
+/// rejected: a v3 peer may compare version-2 digests.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 }  // namespace rtct::core

@@ -15,7 +15,6 @@ FrameLoop::FrameLoop(SiteId site, int num_sites, emu::IDeterministicGame& game,
       input_(input),
       cfg_(cfg),
       frames_(frames),
-      digest_version_(cfg.digest_version()),
       peer_(site, cfg, num_sites),
       pacer_(cfg, pacing),
       session_(site, game.content_id(), cfg),
@@ -36,12 +35,9 @@ void FrameLoop::adopt_session() {
   if (adopted_) return;
   adopted_ = true;
   // Without a handshake the session reports the configured values, so the
-  // mesh adopts its shared config through the same path.
-  digest_version_ = session_.digest_version();
-  // The recording is rebuilt with the *effective* config either way: the
-  // negotiated digest version stamps the replay's keyframe digests.
+  // mesh adopts its shared config through the same path. The recording is
+  // rebuilt with the *effective* config either way.
   SyncConfig eff = cfg_;
-  eff.digest_v2 = digest_version_ == 2;
   if (session_.rollback_mode()) {
     // Build the speculation engine over the peer with the *negotiated*
     // input delay (the master's travels in START); it snapshots the
@@ -161,7 +157,7 @@ void FrameLoop::execute() {
   game_.step_frame(merged);  // step 8: Transition(I, S)
   replay_.record(merged);
   if (replay_.keyframe_due()) replay_.record_keyframe(game_);
-  rec_.state_hash = game_.state_digest(digest_version_);
+  rec_.state_hash = game_.state_digest(emu::kStateDigestVersion);
   peer_.note_state_hash(frame_, rec_.state_hash);  // desync tripwire
   spectators_.on_frame(frame_, merged);
 }

@@ -169,7 +169,6 @@ class FrameLoop {
   int frames_;
   bool handshake_ = true;
   bool adopted_ = false;
-  int digest_version_;
 
   SyncPeer peer_;
   FramePacer pacer_;

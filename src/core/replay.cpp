@@ -82,7 +82,7 @@ void Replay::serialize_into(std::vector<std::uint8_t>& out) const {
   out = w.take();
 }
 
-std::optional<Replay> Replay::parse(std::span<const std::uint8_t> data) {
+std::optional<Replay> Replay::parse(std::span<const std::uint8_t> data, std::string* error) {
   if (data.size() < 8 + 4 + 8 + 2 + 2 + 4 + kCrcLen) return std::nullopt;
   ByteReader r(data);
   const auto magic = r.bytes(8);
@@ -111,7 +111,13 @@ std::optional<Replay> Replay::parse(std::span<const std::uint8_t> data) {
   out.keyframe_interval_ = 0;
   if (v2) {
     const std::uint8_t dv = r.u8();
-    if (dv != 1 && dv != 2) return std::nullopt;
+    if (dv != 1 && dv != emu::kStateDigestVersion) {
+      if (error != nullptr) {
+        *error = "digest version " + std::to_string(dv) +
+                 " is not supported (only 1 and 3); re-record the session";
+      }
+      return std::nullopt;
+    }
     out.digest_version_ = dv;
     const std::uint32_t interval = r.u32();
     // v2 without an interval is a contradiction (a writer with no
@@ -248,7 +254,7 @@ bool Replay::save_file(const std::string& path) const {
   return ok;
 }
 
-std::optional<Replay> Replay::load_file(const std::string& path) {
+std::optional<Replay> Replay::load_file(const std::string& path, std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
   std::vector<std::uint8_t> data;
@@ -256,7 +262,7 @@ std::optional<Replay> Replay::load_file(const std::string& path) {
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.insert(data.end(), buf, buf + n);
   std::fclose(f);
-  return parse(data);
+  return parse(data, error);
 }
 
 }  // namespace rtct::core

@@ -20,7 +20,7 @@
 //   TAS-grade random access (seek/rewind/branch) and divergence
 //   bisection without re-simulating from frame 0:
 //     magic "RTCTRPL2", u32 version=2, u64 content_id, u16 cfps,
-//     u16 buf_frames, u8 digest_version, u32 keyframe_interval,
+//     u16 buf_frames, u8 digest_version (1 or 3), u32 keyframe_interval,
 //     u32 frame count, inputs (u16 each), u32 keyframe count,
 //     keyframes { u32 frame, u64 digest, u32 state_len, state bytes },
 //     [game name: u8 len, len bytes], u64 crc.
@@ -75,7 +75,6 @@ class Replay {
       : content_id_(content_id),
         cfps_(cfg.cfps),
         buf_frames_(cfg.buf_frames),
-        digest_version_(cfg.digest_version()),
         keyframe_interval_(cfg.replay_keyframe_interval),
         game_name_(std::move(game_name)) {}
 
@@ -134,13 +133,15 @@ class Replay {
   /// mismatch, or a header that disagrees with the payload length (the
   /// declared counts are validated against the remaining bytes *before*
   /// any allocation — an attacker-controlled count cannot OOM the parser).
-  static std::optional<Replay> parse(std::span<const std::uint8_t> data);
+  /// A digest_version other than 1 or 3 is refused, and `error` (when
+  /// given) says why: keyframe digests of version 2 cannot be verified.
+  static std::optional<Replay> parse(std::span<const std::uint8_t> data,
+                                     std::string* error = nullptr);
 
   /// Replays every recorded frame onto `game` (which must be freshly reset
   /// and of the matching content). Returns false on content-id mismatch.
   /// `per_frame` (optional) observes (frame, state digest) after each step;
-  /// pass the digest version the original session negotiated (see
-  /// SessionControl::digest_version) to compare against its timeline.
+  /// pass emu::kStateDigestVersion to compare against a session timeline.
   bool apply(emu::IDeterministicGame& game,
              const std::function<void(FrameNo, std::uint64_t)>& per_frame = nullptr,
              int digest_version = 1) const;
@@ -169,13 +170,14 @@ class Replay {
 
   // File helpers.
   [[nodiscard]] bool save_file(const std::string& path) const;
-  static std::optional<Replay> load_file(const std::string& path);
+  static std::optional<Replay> load_file(const std::string& path,
+                                         std::string* error = nullptr);
 
  private:
   std::uint64_t content_id_ = 0;
   int cfps_ = 60;
   int buf_frames_ = 6;
-  int digest_version_ = 2;
+  int digest_version_ = emu::kStateDigestVersion;
   int keyframe_interval_ = 0;  ///< 0 = linear v1 recording (no keyframes)
   std::string game_name_;      ///< qualified name; empty = unknown/legacy
   std::vector<InputWord> inputs_;

@@ -32,7 +32,7 @@ void RollbackSession::execute_frame(FrameNo f) {
   Slot& s = slot(f);
   s.frame = f;
   game_.save_state_into(s.state);  // reuses the slot's buffer in steady state
-  s.digest = game_.state_digest(cfg_.digest_version());
+  s.digest = game_.state_digest(emu::kStateDigestVersion);
   s.merged = merged;
   s.remote_used = remote;
   s.remote_actual = actual.has_value();

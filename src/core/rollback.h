@@ -21,7 +21,7 @@
 //     inputs (using actuals where known, hold-last elsewhere).
 //
 // A frame becomes *confirmed* once it has executed with the actual remote
-// input; confirmed frames are final — their merged inputs and v2 digests
+// input; confirmed frames are final — their merged inputs and v3 digests
 // are the session's canonical history (what replays record, spectators
 // see, and the desync tripwire compares). Speculation depth is bounded by
 // the ring: execution may run at most `rollback_window - 2` frames past
@@ -69,11 +69,11 @@ class RollbackSession {
  public:
   /// `cfg` must be the *effective* session config: the driver constructs
   /// this after the handshake, with `rollback_input_delay` set to
-  /// SessionControl::rollback_delay() and `digest_v2` reflecting the
-  /// negotiated digest version. `peer` must still be in its constructed
-  /// state (SyncPeer::set_buf_frames adopts the input delay as its lag) and
-  /// must outlive this session. Captures the game's current state as the
-  /// pre-frame-0 restore point, so construct before executing any frame.
+  /// SessionControl::rollback_delay(). `peer` must still be in its
+  /// constructed state (SyncPeer::set_buf_frames adopts the input delay as
+  /// its lag) and must outlive this session. Captures the game's current
+  /// state as the pre-frame-0 restore point, so construct before executing
+  /// any frame.
   RollbackSession(SyncPeer& peer, emu::IDeterministicGame& game, SyncConfig cfg);
 
   /// False when speculation has reached the ring bound (executing one more

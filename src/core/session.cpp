@@ -34,7 +34,6 @@ HelloMsg SessionControl::my_hello(Time now) const {
   }
   h.adv_rtt = measured_rtt();
   if (cfg_.adaptive_lag) h.flags |= kHelloFlagAdaptiveLag;
-  if (cfg_.digest_v2) h.flags |= kFlagStateDigestV2;
   if (cfg_.rollback) h.flags |= kFlagRollback;
   h.redundancy = static_cast<std::uint16_t>(std::max(0, cfg_.redundant_inputs));
   return h;
@@ -75,7 +74,6 @@ std::optional<Message> SessionControl::poll(Time now) {
     } else {
       s.buf_frames = static_cast<std::uint16_t>(negotiated_buf_);
     }
-    if (digest_version_ == 2) s.flags |= kFlagStateDigestV2;
     ++starts_sent_;
     return Message{s};
   }
@@ -94,9 +92,7 @@ void SessionControl::ingest(const Message& msg, Time now) {
     if (hello->site == my_site_) return;  // self-echo, ignore
     ++hellos_rcvd_;
     if (!hello_compatible(*hello)) return;
-    peer_seen_ = true;
     peer_adaptive_ = (hello->flags & kHelloFlagAdaptiveLag) != 0;
-    peer_digest_v2_ = (hello->flags & kFlagStateDigestV2) != 0;
     peer_rollback_ = (hello->flags & kFlagRollback) != 0;
     peer_adv_rtt_ = std::max(peer_adv_rtt_, hello->adv_rtt);
     if (first_compat_hello_ < 0) first_compat_hello_ = now;
@@ -124,14 +120,10 @@ void SessionControl::ingest(const Message& msg, Time now) {
           negotiated_buf_ = cfg_.buf_frames_for_rtt(best);
         }
       }
-      // Master: fix the digest version (both sides must have advertised the
-      // capability), then announce the start (and re-announce on every
-      // later HELLO — the slave only re-HELLOs if it missed the START).
-      if (digest_version_ == 0) {
-        digest_version_ = (cfg_.digest_v2 && peer_digest_v2_) ? 2 : 1;
-      }
-      // Rollback mode, like the digest version, is the master's call iff
-      // both sides advertised it; a mixed pair degrades to lockstep.
+      // Master: announce the start (and re-announce on every later HELLO —
+      // the slave only re-HELLOs if it missed the START). Rollback mode is
+      // the master's call iff both sides advertised it; a mixed pair
+      // degrades to lockstep.
       if (rollback_state_ < 0) {
         rollback_state_ = (cfg_.rollback && peer_rollback_) ? 1 : 0;
       }
@@ -155,8 +147,6 @@ void SessionControl::ingest(const Message& msg, Time now) {
           negotiated_buf_ = start->buf_frames;
         }
       }
-      digest_version_ =
-          ((start->flags & kFlagStateDigestV2) != 0 && cfg_.digest_v2) ? 2 : 1;
       enter_running(now);
     }
     return;
@@ -176,23 +166,13 @@ void SessionControl::note_sync_traffic(Time now) {
   // the merged-input agreement. It keeps HELLOing; the master answers
   // every HELLO with a fresh START.
   if (cfg_.rollback && rollback_state_ < 0) return;
-  if (my_site_ != kMasterSite) {
-    // Starting without ever seeing a master HELLO/START: fix the digest
-    // version from what we know — the peer's advertised capability if any
-    // HELLO got through, else our own (see digest_version() in the header).
-    if (digest_version_ == 0) {
-      digest_version_ =
-          (cfg_.digest_v2 && (peer_seen_ ? peer_digest_v2_ : true)) ? 2 : 1;
-    }
-    enter_running(now);
-  }
+  if (my_site_ != kMasterSite) enter_running(now);
 }
 
 void SessionControl::export_metrics(MetricsRegistry& reg) const {
   reg.gauge("session.state").set(static_cast<double>(static_cast<int>(state_)));
   reg.gauge("session.buf_frames").set(effective_buf_frames());
   reg.gauge("session.lag_negotiated").set(lag_negotiated() ? 1 : 0);
-  reg.gauge("session.digest_version").set(digest_version());
   reg.gauge("session.rollback").set(rollback_mode() ? 1 : 0);
   reg.gauge("session.rollback_delay").set(rollback_mode() ? rollback_delay_ : 0);
   reg.gauge("session.measured_rtt_ms")

@@ -74,17 +74,6 @@ class SessionControl {
   /// True when effective_buf_frames() came from the v2 RTT negotiation.
   [[nodiscard]] bool lag_negotiated() const { return negotiated_buf_ > 0; }
 
-  /// The state-digest version both replicas compare hashes under: 2 when
-  /// both sides advertised the incremental-digest capability, else 1.
-  /// Decided by the master when it starts and carried to the slave in the
-  /// START flags; before the outcome is known this reports the local
-  /// capability (a slave that starts on bare sync traffic without ever
-  /// seeing a master message assumes a same-configured peer — any other
-  /// peer inside one protocol version is a deliberate config mismatch).
-  [[nodiscard]] int digest_version() const {
-    return digest_version_ > 0 ? digest_version_ : cfg_.digest_version();
-  }
-
   /// True when the handshake settled on the rollback consistency mode:
   /// both sites advertised the capability in HELLO, the master decided,
   /// and START carried the outcome (kFlagRollback). Until the outcome is
@@ -129,7 +118,6 @@ class SessionControl {
   std::string failure_;
   Time start_time_ = 0;
   Time next_hello_ = 0;
-  bool peer_seen_ = false;
   bool start_pending_ = false;  ///< master owes the slave a START
 
   // v2: HELLO RTT probe + adaptive-lag negotiation.
@@ -137,9 +125,7 @@ class SessionControl {
   Time peer_hello_time_ = -1;  ///< newest hello_time seen from the peer
   Time peer_hello_rcv_ = 0;    ///< when we received it (for echo_hold)
   bool peer_adaptive_ = false;
-  bool peer_digest_v2_ = false;
   bool peer_rollback_ = false;
-  int digest_version_ = 0;   ///< 0 = not yet decided
   int rollback_state_ = -1;  ///< -1 undecided / 0 lockstep / 1 rollback
   int rollback_delay_ = 0;   ///< adopted local input delay (frames)
   Dur peer_adv_rtt_ = -1;

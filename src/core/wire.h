@@ -23,12 +23,9 @@
 
 namespace rtct::core {
 
-/// HelloMsg/StartMsg::flags bits (capability negotiation).
+/// HelloMsg/StartMsg::flags bits (capability negotiation). Bit 1 is
+/// reserved: protocol v3 negotiated the digest version with it.
 inline constexpr std::uint8_t kHelloFlagAdaptiveLag = 1u << 0;
-/// In HELLO: "I can compare incremental (version-2) state digests". In
-/// START: "this session compares version-2 digests" — set by the master
-/// only when both sides advertised it.
-inline constexpr std::uint8_t kFlagStateDigestV2 = 1u << 1;
 /// In HELLO: "I am willing to run the rollback consistency mode". In
 /// START: "this session runs rollback" — set by the master only when both
 /// sides advertised it; START.buf_frames then carries the agreed local

@@ -790,11 +790,7 @@ std::uint64_t Agent86Machine::state_hash() const {
 
 std::uint64_t Agent86Machine::state_digest(int version) const {
   if (version <= 1) return state_hash();
-  Fnv1a64 h;
-  h.update_u8(2);  // domain-separate v2 from the v1 hash, like AC16
-  visit_header(h);
-  pages_.fold_into(h, mem_.get());
-  return h.digest();
+  return pages_.digest(mem_.get(), [this](auto& h) { visit_header(h); });
 }
 
 std::vector<std::uint64_t> Agent86Machine::page_digests() const {

@@ -33,6 +33,9 @@ class IRenderableGame {
   [[nodiscard]] virtual std::span<const std::uint8_t> framebuffer() const = 0;
 };
 
+/// The state-digest version every session, recording and bisection uses.
+inline constexpr int kStateDigestVersion = 3;
+
 class IDeterministicGame {
  public:
   virtual ~IDeterministicGame() = default;
@@ -50,19 +53,19 @@ class IDeterministicGame {
   /// 64-bit fingerprint of the complete mutable state.
   [[nodiscard]] virtual std::uint64_t state_hash() const = 0;
 
-  /// Versioned fingerprint. Version 1 is state_hash(); a game MAY implement
-  /// cheaper digests under higher versions (e.g. the emulator's incremental
-  /// dirty-page digest, version 2). Digests of different versions are not
-  /// comparable — the session handshake negotiates one version for both
-  /// replicas before any hashes are exchanged. Unknown versions fall back
-  /// to the newest one the game implements (here: version 1).
+  /// Versioned fingerprint. Version 1 is state_hash(), kept as the oracle.
+  /// Sessions, replays and bisection use kStateDigestVersion (3), which a
+  /// game MAY implement more cheaply: the paged cores keep a running sum
+  /// of position-keyed page hashes, so a digest costs O(pages written).
+  /// Digests of different versions are not comparable. Versions above 1
+  /// give the newest digest the game implements (here: version 1).
   [[nodiscard]] virtual std::uint64_t state_digest(int version) const {
     (void)version;
     return state_hash();
   }
 
-  /// Per-page digests of the mutable state, in page order — the raw
-  /// material behind the version-2 digest, exposed so divergence tooling
+  /// Per-page digests of the mutable state, in page order — the terms
+  /// summed by the version-3 digest, exposed so divergence tooling
   /// (the replay bisector) can name the exact page(s) on which two
   /// replicas differ instead of just "the hashes split". Empty means the
   /// game has no page-granular digest; tooling then falls back to diffing

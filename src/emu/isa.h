@@ -36,7 +36,7 @@ inline constexpr std::size_t kInstrBytes = 4;
 // instruction cache sound.
 inline constexpr std::uint16_t kRamBase = 0x8000;
 
-/// Dirty-page tracking granularity for the incremental (version-2) state
+/// Dirty-page tracking granularity for the incremental (version-3) state
 /// digest: the mutable 32 KiB is covered by 128 pages of 256 bytes. The
 /// fast interpreter's inlined write barrier maintains the same bitmap
 /// ArcadeMachine::write8 does, so it needs the geometry here.

@@ -82,11 +82,7 @@ std::uint64_t ArcadeMachine::state_hash() const {
 
 std::uint64_t ArcadeMachine::state_digest(int version) const {
   if (version <= 1) return state_hash();
-  Fnv1a64 h;
-  h.update_u8(2);  // domain-separate the v2 digest from the v1 hash
-  visit_header(h);
-  pages_.fold_into(h, mem_.get() + kRamBase);
-  return h.digest();
+  return pages_.digest(mem_.get() + kRamBase, [this](auto& h) { visit_header(h); });
 }
 
 std::vector<std::uint64_t> ArcadeMachine::page_digests() const {

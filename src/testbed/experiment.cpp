@@ -321,7 +321,7 @@ class SimObserver {
       }
       while (client_.step_one()) {
         result_.hashes.emplace_back(client_.applied_frame(),
-                                    game_.state_digest(cfg_.sync.digest_version()));
+                                    game_.state_digest(emu::kStateDigestVersion));
       }
       result_.last_applied = client_.applied_frame();
       (void)co_await ep_.arrival_trigger().wait_until(now + cfg_.sync.send_flush_period);

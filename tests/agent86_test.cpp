@@ -11,6 +11,8 @@
 namespace rtct::a86 {
 namespace {
 
+constexpr int kV3 = emu::kStateDigestVersion;
+
 Program must_assemble(const char* src) {
   auto r = assemble(src, "test");
   EXPECT_TRUE(r.ok()) << r.error_text();
@@ -297,19 +299,19 @@ TEST(Agent86Restore, AfterDivergenceMatchesFreshLoad) {
   std::uint32_t rng = 15;
   for (int i = 0; i < 40; ++i) {
     m->step_frame(next_input(rng));
-    (void)m->state_digest(2);
+    (void)m->state_digest(kV3);
   }
   const auto snap = m->save_state();
   for (int i = 0; i < 6; ++i) {
     m->step_frame(next_input(rng));
-    (void)m->state_digest(2);
+    (void)m->state_digest(kV3);
   }
   m->poke(0x4000, static_cast<std::uint8_t>(m->peek(0x4000) + 1));
-  (void)m->state_digest(2);
+  (void)m->state_digest(kV3);
   ASSERT_TRUE(m->load_state(snap));
   auto fresh = make_machine("skirmish");
   ASSERT_TRUE(fresh->load_state(snap));
-  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  EXPECT_EQ(m->state_digest(kV3), fresh->state_digest(kV3));
   EXPECT_EQ(m->page_digests(), fresh->page_digests());
   emu::set_state_digest_cross_check(false);
   EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
@@ -322,16 +324,16 @@ TEST(Agent86Restore, RehashesDirtyPageWhoseBytesMatchSnapshot) {
   auto m = make_machine("pong");
   std::uint32_t rng = 3;
   for (int i = 0; i < 5; ++i) m->step_frame(next_input(rng));
-  (void)m->state_digest(2);
+  (void)m->state_digest(kV3);
   const auto snap = m->save_state();
   const std::uint8_t orig = m->peek(0x4123);
   m->poke(0x4123, static_cast<std::uint8_t>(orig ^ 0x5A));
-  (void)m->state_digest(2);
+  (void)m->state_digest(kV3);
   m->poke(0x4123, orig);
   ASSERT_TRUE(m->load_state(snap));
   auto fresh = make_machine("pong");
   ASSERT_TRUE(fresh->load_state(snap));
-  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  EXPECT_EQ(m->state_digest(kV3), fresh->state_digest(kV3));
   emu::set_state_digest_cross_check(false);
   EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
 }
@@ -343,7 +345,7 @@ TEST(Agent86Restore, RejectedSnapshotLeavesStateUntouched) {
   const auto old_snap = m->save_state();
   for (int i = 0; i < 3; ++i) m->step_frame(next_input(rng));
   const auto before = m->save_state();
-  const auto digest = m->state_digest(2);
+  const auto digest = m->state_digest(kV3);
   ASSERT_NE(old_snap, before);
 
   auto bad_fault = old_snap;
@@ -353,7 +355,7 @@ TEST(Agent86Restore, RejectedSnapshotLeavesStateUntouched) {
   for (const auto& bad : {bad_fault, bad_flags}) {
     EXPECT_FALSE(m->load_state(bad));
     EXPECT_EQ(m->save_state(), before);
-    EXPECT_EQ(m->state_digest(2), digest);
+    EXPECT_EQ(m->state_digest(kV3), digest);
   }
 }
 

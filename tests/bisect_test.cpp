@@ -31,7 +31,6 @@ Replay record_torture(int frames, int interval, Rng rng, FrameNo override_from =
                       InputWord override_bit = 0) {
   auto m = games::make_machine("torture");
   SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = interval;
   Replay rec(m->content_id(), cfg);
   for (int f = 0; f < frames; ++f) {
@@ -143,14 +142,16 @@ TEST(BisectTest, ReplayVsTimelineFindsTamperedFrame) {
                         rec.state_hash = h;
                         timeline.add(rec);
                       },
-                      /*digest_version=*/2));
+                      emu::kStateDigestVersion));
 
-  const BisectReport clean = bisect_replay_vs_timeline(a, timeline, 2, torture_factory());
+  const BisectReport clean =
+      bisect_replay_vs_timeline(a, timeline, emu::kStateDigestVersion, torture_factory());
   EXPECT_EQ(clean.verdict, "identical");
 
   FrameTimeline tampered = timeline;
   tampered.set_state_hash(387, 0xBAD0BAD0BAD0BAD0ull);
-  const BisectReport rep = bisect_replay_vs_timeline(a, tampered, 2, torture_factory());
+  const BisectReport rep = bisect_replay_vs_timeline(a, tampered, emu::kStateDigestVersion,
+                                                    torture_factory());
   EXPECT_EQ(rep.verdict, "diverged");
   EXPECT_EQ(rep.first_divergent_frame, 387);
   EXPECT_EQ(rep.diverged_side, "b");
@@ -165,7 +166,8 @@ TEST(BisectTest, ReplayVsTimelineFindsTamperedFrame) {
   for (FrameNo f = 387; f < 500; ++f) {
     desynced.set_state_hash(f, 0xBAD0000000000000ull + static_cast<std::uint64_t>(f));
   }
-  const BisectReport fast = bisect_replay_vs_timeline(a, desynced, 2, torture_factory());
+  const BisectReport fast = bisect_replay_vs_timeline(a, desynced, emu::kStateDigestVersion,
+                                                     torture_factory());
   EXPECT_EQ(fast.verdict, "diverged");
   EXPECT_EQ(fast.first_divergent_frame, 387);
   EXPECT_EQ(fast.diverged_side, "b");

@@ -84,9 +84,9 @@ class EmulatorChaosSoak : public ::testing::TestWithParam<Topology> {};
 
 TEST_P(EmulatorChaosSoak, DirtyPageDigestSurvivesChaosWithCrossCheck) {
   // The soak normally runs the cheap native game, which never exercises
-  // the emulator's incremental v2 digest. Re-run a slice of seeds on an
+  // the emulator's incremental v3 digest. Re-run a slice of seeds on an
   // ArcadeMachine with the full-rehash cross-check armed: every
-  // state_digest(2) recomputes all 128 pages from scratch and any
+  // v3 digest recomputes all 128 pages from scratch and any
   // disagreement with the dirty-page cache counts as a failure. Chaos is
   // exactly the load that would expose a missed-invalidation bug (stalls,
   // churned observers loading snapshots, handshake races).

@@ -151,29 +151,6 @@ TEST(HashTest, WordAtATimeMatchesReferenceByteLoop) {
   }
 }
 
-TEST(HashTest, BlocksMatchPerBlockHash) {
-  // fnv1a64_blocks interleaves four chains; each value must still be the
-  // plain per-block digest, for full groups of four, every leftover count,
-  // short and page-sized block lengths, and blocks at odd addresses.
-  std::vector<std::uint8_t> data(10 * 257 + 1);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  }
-  for (const std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      std::vector<const std::uint8_t*> blocks;
-      for (std::size_t b = 0; b < n; ++b) blocks.push_back(data.data() + 1 + b * 257);
-      std::vector<std::uint64_t> out(n + 1, 0xdead);
-      fnv1a64_blocks(blocks, len, out);
-      for (std::size_t b = 0; b < n; ++b) {
-        ASSERT_EQ(out[b], fnv1a64({blocks[b], len}))
-            << "n " << n << " len " << len << " block " << b;
-      }
-      EXPECT_EQ(out[n], 0xdeadu) << "wrote past the last block";
-    }
-  }
-}
-
 TEST(HashTest, SensitiveToEveryByte) {
   std::vector<std::uint8_t> data(64, 0);
   const auto base = fnv1a64(data);

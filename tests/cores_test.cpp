@@ -243,7 +243,6 @@ TEST(Agent86TestbedTest, SpectatorJoinsAnAgent86Session) {
 core::Replay record_a86(int frames, int interval, Rng rng) {
   auto m = make_game("agent86:skirmish");
   core::SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = interval;
   core::Replay rec(m->content_id(), cfg, m->content_name());
   for (int f = 0; f < frames; ++f) {

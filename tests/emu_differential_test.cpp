@@ -4,7 +4,7 @@
 // A fast path is only admissible because it is bit-identical to the
 // reference in *observable* state. Every test here drives two machines —
 // one per backend — through the same inputs in lockstep and requires
-// per-frame agreement on the v2 state digest, the fault code, and the
+// per-frame agreement on the v3 state digest, the fault code, and the
 // cycle count (agent86 adds the v1 hash, tone and debug log), plus
 // byte-identical save_state at the end.
 //
@@ -54,6 +54,8 @@
 namespace rtct::emu {
 namespace {
 
+constexpr int kV3 = emu::kStateDigestVersion;
+
 MachineConfig fast_cfg(int cycles = 100000) { return {cycles, false}; }
 MachineConfig ref_cfg(int cycles = 100000) { return {cycles, true}; }
 
@@ -69,8 +71,8 @@ void expect_equivalent(const Rom& rom, int frames, int cycles_per_frame,
     const auto input = static_cast<InputWord>(rng.next_u64());
     fast.step_frame(input);
     ref.step_frame(input);
-    ASSERT_EQ(fast.state_digest(2), ref.state_digest(2))
-        << what << ": v2 digest diverged at frame " << f;
+    ASSERT_EQ(fast.state_digest(kV3), ref.state_digest(kV3))
+        << what << ": v3 digest diverged at frame " << f;
     ASSERT_EQ(fast.fault(), ref.fault())
         << what << ": fault diverged at frame " << f;
     ASSERT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles())
@@ -85,7 +87,7 @@ void expect_equivalent(const Rom& rom, int frames, int cycles_per_frame,
 }
 
 /// Per-instruction-visible state: fault, pc, cycles, every register, the
-/// flags, the save_state bytes and the v2 digest.
+/// flags, the save_state bytes and the v3 digest.
 void expect_same_cpu(const ArcadeMachine& fast, const ArcadeMachine& ref) {
   EXPECT_EQ(fast.fault(), ref.fault());
   EXPECT_EQ(fast.cpu().pc(), ref.cpu().pc());
@@ -97,7 +99,7 @@ void expect_same_cpu(const ArcadeMachine& fast, const ArcadeMachine& ref) {
   EXPECT_EQ(fast.cpu().flag_n(), ref.cpu().flag_n());
   EXPECT_EQ(fast.cpu().flag_c(), ref.cpu().flag_c());
   EXPECT_EQ(fast.save_state(), ref.save_state());
-  EXPECT_EQ(fast.state_digest(2), ref.state_digest(2));
+  EXPECT_EQ(fast.state_digest(kV3), ref.state_digest(kV3));
 }
 
 /// Steps both backends `frames` frames and compares expect_same_cpu after
@@ -572,7 +574,7 @@ TEST(ExecuteFromRamDifferential, SnapshotRoundTripAcrossBackends) {
     const auto input = static_cast<InputWord>(7 * f + 1);
     fast.step_frame(input);
     ref.step_frame(input);
-    ASSERT_EQ(fast.state_digest(2), ref.state_digest(2)) << "frame " << f;
+    ASSERT_EQ(fast.state_digest(kV3), ref.state_digest(kV3)) << "frame " << f;
   }
   EXPECT_EQ(fast.save_state(), ref.save_state());
 }
@@ -686,7 +688,7 @@ TEST(OpcodeDifferential, EveryOpcodeByteAgreesFromRomAndFromRam) {
 // stay in RAM; the last iteration runs through the ordinary handlers.
 // Each ROM below runs one loop per frame, storing a value that follows the
 // frame's input (so a page the block store fails to mark dirty shows in
-// the v2 digest), and is compared with the reference after every frame.
+// the v3 digest), and is compared with the reference after every frame.
 
 struct FillLoop {
   const char* store = "STB";
@@ -879,12 +881,14 @@ TEST(DispatchBackend, NameMatchesCompileTimeSelection) {
 
 // ===========================================================================
 // agent86: the predecoded fast path against the reference byte-fetch
-// interpreter. Per frame both backends must agree on the v2 digest, the v1
+// interpreter. Per frame both backends must agree on the v3 digest, the v1
 // hash, the fault, the cycle count, the tone and the debug log, and their
 // save_state bytes must be identical at the end.
 
 namespace rtct::a86 {
 namespace {
+
+constexpr int kV3 = emu::kStateDigestVersion;
 
 constexpr int kA86Budget = 50000;
 
@@ -903,7 +907,7 @@ Program must_assemble_a86(const char* source, const char* name) {
 
 void expect_same_frame(const Agent86Machine& fast, const Agent86Machine& ref,
                        const std::string& what, int f) {
-  ASSERT_EQ(fast.state_digest(2), ref.state_digest(2)) << what << ": v2 digest, frame " << f;
+  ASSERT_EQ(fast.state_digest(kV3), ref.state_digest(kV3)) << what << ": v3 digest, frame " << f;
   ASSERT_EQ(fast.state_hash(), ref.state_hash()) << what << ": v1 hash, frame " << f;
   ASSERT_EQ(fast.fault(), ref.fault()) << what << ": fault, frame " << f;
   ASSERT_EQ(fast.last_frame_cycles(), ref.last_frame_cycles()) << what << ": cycles, frame " << f;
@@ -1466,7 +1470,7 @@ head:
 }
 
 /// Steps both backends and compares fault, ip, cycles, registers, the v1
-/// hash and v2 digest, tone, debug log and save_state bytes every frame.
+/// hash and v3 digest, tone, debug log and save_state bytes every frame.
 void expect_same_a86_every_frame(const Program& p, int frames, int cycles, const std::string& what) {
   Agent86Machine fast(p, a86_cfg(false, cycles));
   Agent86Machine ref(p, a86_cfg(true, cycles));

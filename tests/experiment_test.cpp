@@ -56,7 +56,7 @@ TEST(ExperimentTest, MatchesSingleMachineReference) {
     reference->step_frame(input);
     // Timelines record the negotiated digest version (v2 for two
     // identically-configured sites) — compare apples to apples.
-    ASSERT_EQ(reference->state_digest(cfg.sync.digest_version()),
+    ASSERT_EQ(reference->state_digest(emu::kStateDigestVersion),
               r.site[0].timeline.records()[f].state_hash)
         << "distributed run diverged from the single-machine reference at frame " << f;
   }

@@ -1,12 +1,13 @@
 // Golden digest table: the determinism contract pinned as data.
 //
 // Every registered core:game runs 300 frames of SplitMix64-scripted input;
-// the per-frame state_digest(1) and state_digest(2) values are folded into
+// the per-frame state_digest(1) and state_digest(3) values are folded into
 // one u64 per game and version and compared against the committed table
-// below. The table was produced by the code before the shared page-digest
-// cache existed, so any change to the digest functions, to the dirty-page
-// bookkeeping, or to the cores' behaviour shows up here as a mismatch on
-// every build leg (default, sanitize, portable switch dispatch).
+// below. The v1 column predates the shared page-digest cache; the v3 column
+// was produced when digest v3 replaced v2. Any change to the digest
+// functions, to the dirty-page bookkeeping, or to the cores' behaviour
+// shows up here as a mismatch on every build leg (default, sanitize,
+// portable switch dispatch).
 //
 // Two more runs must reproduce the same chains:
 //   * a restore-heavy run that, every 7 frames, loads the snapshot taken
@@ -41,6 +42,8 @@
 namespace rtct {
 namespace {
 
+constexpr int kV3 = emu::kStateDigestVersion;
+
 constexpr int kFrames = 300;
 constexpr int kRestoreEvery = 7;
 constexpr int kRestoreDepth = 4;
@@ -48,21 +51,21 @@ constexpr int kRestoreDepth = 4;
 struct Golden {
   const char* game;
   std::uint64_t v1;
-  std::uint64_t v2;
+  std::uint64_t v3;
 };
 
 // clang-format off
 constexpr Golden kTable[] = {
-    {"ac16:pong", 0xd7272547ccc869d8ull, 0x2012fe21c3573ddcull},
-    {"ac16:duel", 0x69f4ed6257c45846ull, 0xf341c3fe1c526b4bull},
-    {"ac16:invaders", 0xc0ef211ae1cffa90ull, 0x1b9ab39fec0621c0ull},
-    {"ac16:tron", 0x123ce4a356403c3bull, 0xda6a147b0aa159d7ull},
-    {"ac16:tanks", 0xfd234cb8ce0032efull, 0x804bc14fba4edd71ull},
-    {"ac16:quadtron", 0x423b28c04d7e2fc8ull, 0xb4f802299192e851ull},
-    {"ac16:torture", 0xa154134ea8783cc2ull, 0x3280f7972b2622c9ull},
-    {"agent86:skirmish", 0x8b7e76bcbbf7a15full, 0xc86ee5226c9ad15bull},
-    {"agent86:pong", 0x0136e01da47a4f9cull, 0x29ff3d5f5b17ee17ull},
-    {"agent86:havoc", 0xe82db2ed6bd2de7eull, 0xc6c1d3003433863eull},
+    {"ac16:pong", 0xd7272547ccc869d8ull, 0xb6beb70466481fd6ull},
+    {"ac16:duel", 0x69f4ed6257c45846ull, 0x3658715766b906cfull},
+    {"ac16:invaders", 0xc0ef211ae1cffa90ull, 0xca7937fc2a9c30a0ull},
+    {"ac16:tron", 0x123ce4a356403c3bull, 0xc76c333c6c43bf70ull},
+    {"ac16:tanks", 0xfd234cb8ce0032efull, 0x0b303543569952eaull},
+    {"ac16:quadtron", 0x423b28c04d7e2fc8ull, 0x03fdf63fdf7d7695ull},
+    {"ac16:torture", 0xa154134ea8783cc2ull, 0x8e379f285fb9d38cull},
+    {"agent86:skirmish", 0x8b7e76bcbbf7a15full, 0x2f763d8ddee3023eull},
+    {"agent86:pong", 0x0136e01da47a4f9cull, 0xfe51f67fb3df32acull},
+    {"agent86:havoc", 0xe82db2ed6bd2de7eull, 0x4e2a1996d84f604cull},
     {"native:cellwars", 0x109de438efc998a8ull, 0x109de438efc998a8ull},
 };
 // clang-format on
@@ -83,41 +86,41 @@ std::vector<InputWord> scripted_inputs(const std::string& game) {
 
 struct Chains {
   std::uint64_t v1;
-  std::uint64_t v2;
+  std::uint64_t v3;
 };
 
 Chains straight_chain(emu::IDeterministicGame& g, const std::vector<InputWord>& in) {
-  Fnv1a64 c1, c2;
+  Fnv1a64 c1, c3;
   for (const InputWord w : in) {
     g.step_frame(w);
     c1.update_u64(g.state_digest(1));
-    c2.update_u64(g.state_digest(2));
+    c3.update_u64(g.state_digest(kV3));
   }
-  return {c1.digest(), c2.digest()};
+  return {c1.digest(), c3.digest()};
 }
 
 /// Same chain, but every kRestoreEvery frames the game loads the snapshot
 /// taken kRestoreDepth frames earlier and re-steps the frames in between.
 /// Only the first visit of each frame is folded into the chain.
 Chains restore_heavy_chain(emu::IDeterministicGame& g, const std::vector<InputWord>& in) {
-  Fnv1a64 c1, c2;
+  Fnv1a64 c1, c3;
   std::deque<std::vector<std::uint8_t>> snaps;  // snaps.back(): state before frame f
   for (int f = 0; f < kFrames; ++f) {
     snaps.push_back(g.save_state());
     if (snaps.size() > kRestoreDepth + 1) snaps.pop_front();
     if (f % kRestoreEvery == 0 && f >= kRestoreDepth) {
       EXPECT_TRUE(g.load_state(snaps.front())) << "frame " << f;
-      (void)g.state_digest(2);
+      (void)g.state_digest(kV3);
       for (int j = f - kRestoreDepth; j < f; ++j) {
         g.step_frame(in[static_cast<std::size_t>(j)]);
-        (void)g.state_digest(2);
+        (void)g.state_digest(kV3);
       }
     }
     g.step_frame(in[static_cast<std::size_t>(f)]);
     c1.update_u64(g.state_digest(1));
-    c2.update_u64(g.state_digest(2));
+    c3.update_u64(g.state_digest(kV3));
   }
-  return {c1.digest(), c2.digest()};
+  return {c1.digest(), c3.digest()};
 }
 
 const Golden* find_golden(const std::string& game) {
@@ -141,7 +144,7 @@ std::string table_source(const Rows& rows) {
   for (const auto& [game, c] : rows) {
     char row[160];
     std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", game.c_str(),
-                  static_cast<unsigned long long>(c.v1), static_cast<unsigned long long>(c.v2));
+                  static_cast<unsigned long long>(c.v1), static_cast<unsigned long long>(c.v3));
     out += row;
   }
   return out + "};\n// clang-format on\n";
@@ -149,7 +152,7 @@ std::string table_source(const Rows& rows) {
 
 Rows committed_rows() {
   Rows out;
-  for (const auto& row : kTable) out.emplace_back(row.game, Chains{row.v1, row.v2});
+  for (const auto& row : kTable) out.emplace_back(row.game, Chains{row.v1, row.v3});
   return out;
 }
 
@@ -185,7 +188,7 @@ TEST(GoldenDigest, RestoreHeavyChainsEqualStraightChains) {
     auto g = cores::make_game(name);
     const Chains c = restore_heavy_chain(*g, scripted_inputs(name));
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain with restores";
-    EXPECT_EQ(c.v2, want->v2) << name << " v2 chain with restores";
+    EXPECT_EQ(c.v3, want->v3) << name << " v3 chain with restores";
   }
   emu::set_state_digest_cross_check(false);
   EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
@@ -202,11 +205,11 @@ TEST(GoldenDigest, Ac16ReferenceInterpreterMatchesTable) {
     const auto in = scripted_inputs(name);
     const Chains c = straight_chain(*m, in);
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
-    EXPECT_EQ(c.v2, want->v2) << name << " v2 chain, reference interpreter";
+    EXPECT_EQ(c.v3, want->v3) << name << " v3 chain, reference interpreter";
     auto r = games::make_machine(game, cfg);
     const Chains rc = restore_heavy_chain(*r, in);
     EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
-    EXPECT_EQ(rc.v2, want->v2) << name << " v2 chain, reference interpreter with restores";
+    EXPECT_EQ(rc.v3, want->v3) << name << " v3 chain, reference interpreter with restores";
   }
 }
 
@@ -221,11 +224,11 @@ TEST(GoldenDigest, Agent86ReferenceInterpreterMatchesTable) {
     const auto in = scripted_inputs(name);
     const Chains c = straight_chain(*m, in);
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
-    EXPECT_EQ(c.v2, want->v2) << name << " v2 chain, reference interpreter";
+    EXPECT_EQ(c.v3, want->v3) << name << " v3 chain, reference interpreter";
     auto r = a86::make_machine(game, cfg);
     const Chains rc = restore_heavy_chain(*r, in);
     EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
-    EXPECT_EQ(rc.v2, want->v2) << name << " v2 chain, reference interpreter with restores";
+    EXPECT_EQ(rc.v3, want->v3) << name << " v3 chain, reference interpreter with restores";
   }
 }
 
@@ -237,7 +240,7 @@ int regenerate() {
   for (const auto& [name, c] : rows) {
     auto g = cores::make_game(name);
     const Chains rc = restore_heavy_chain(*g, scripted_inputs(name));
-    if (rc.v1 != c.v1 || rc.v2 != c.v2) {
+    if (rc.v1 != c.v1 || rc.v3 != c.v3) {
       std::fprintf(stderr, "%s: the restore-heavy chains differ from the straight chains\n",
                    name.c_str());
       ++disagreements;

@@ -1,15 +1,19 @@
 // Golden timeline table: the virtual-time testbed pinned as data.
 //
 // Each case runs one deterministic simulated session and folds everything
-// it produced into one u64: every FrameTimeline column of every site (the
-// mesh's compute column excepted, see fold_mesh), each site's replay
-// bytes, SyncPeerStats, RollbackStats, and every observer's replayed
-// (frame, hash) pairs. The table below was produced by the frame
-// loop as it stood before the drivers shared one implementation, so any
-// change to the loop's order of operations — when it samples, submits,
-// waits, executes, digests, records or paces — shows up here as a
-// mismatch, on every build leg (timelines embed state digests, so the
-// portable switch dispatch must reproduce them too).
+// it produced into two u64s. The state-digest values go into the hash
+// column: every FrameRecord::state_hash, each replay's digest version and
+// keyframe digests, and every observer's replayed hashes. Everything else
+// goes into the timing column: every other FrameTimeline column of every
+// site (the mesh's compute column excepted, see fold_mesh), each replay's
+// inputs, keyframe frames and snapshot bytes, SyncPeerStats,
+// RollbackStats, and the observers' frames. The timing column was produced
+// by the frame loop as it stood before the drivers shared one
+// implementation, so any change to the loop's order of operations — when
+// it samples, submits, waits, executes, digests, records or paces — shows
+// up here as a mismatch, on every build leg (the portable switch dispatch
+// must reproduce the digests too). A change to the digest function alone
+// moves only the hash column.
 //
 // sync_sweep_baseline pins the two-site lockstep RTT sweep; these cases
 // cover what it does not: rollback, stalls and boot skew with churning
@@ -46,16 +50,38 @@ struct Fold {
   void add_i(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
 };
 
-void fold_timeline(Fold& f, const core::FrameTimeline& t, bool with_compute = true) {
-  f.add(t.size());
+/// The two columns of one case.
+struct Folds {
+  Fold timing;
+  Fold hashes;
+};
+
+void fold_timeline(Folds& f, const core::FrameTimeline& t, bool with_compute = true) {
+  f.timing.add(t.size());
   for (const auto& r : t.records()) {
-    f.add_i(r.frame);
-    f.add_i(r.begin_time);
-    f.add_i(r.input_ready_time);
-    if (with_compute) f.add_i(r.compute);
-    f.add_i(r.wait);
-    f.add_i(r.stall);
-    f.add(r.state_hash);
+    f.timing.add_i(r.frame);
+    f.timing.add_i(r.begin_time);
+    f.timing.add_i(r.input_ready_time);
+    if (with_compute) f.timing.add_i(r.compute);
+    f.timing.add_i(r.wait);
+    f.timing.add_i(r.stall);
+    f.hashes.add(r.state_hash);
+  }
+}
+
+void fold_replay(Folds& f, const core::Replay& r) {
+  f.timing.add_i(r.container_version());
+  f.timing.add(r.content_id());
+  f.timing.add_i(r.cfps());
+  f.timing.add_i(r.buf_frames());
+  f.timing.add_i(r.keyframe_interval());
+  for (const InputWord w : r.inputs()) f.timing.add(w);
+  for (const char c : r.game_name()) f.timing.add(static_cast<std::uint8_t>(c));
+  f.hashes.add_i(r.digest_version());
+  for (const auto& kf : r.keyframes()) {
+    f.timing.add_i(kf.frame);
+    for (const std::uint8_t b : kf.state) f.timing.add(b);
+    f.hashes.add(kf.digest);
   }
 }
 
@@ -71,12 +97,13 @@ void fold_sync(Fold& f, const core::SyncPeerStats& s) {
   f.add(s.redundant_inputs_sent);
 }
 
-std::uint64_t fold_experiment(const ExperimentResult& r) {
-  Fold f;
+Folds fold_experiment(const ExperimentResult& r) {
+  Folds folds;
+  Fold& f = folds.timing;
   for (const auto& s : r.site) {
-    fold_timeline(f, s.timeline);
+    fold_timeline(folds, s.timeline);
     fold_sync(f, s.sync_stats);
-    for (const std::uint8_t b : s.replay.serialize()) f.add(b);
+    fold_replay(folds, s.replay);
     f.add_i(s.buf_frames);
     f.add_i(s.frames_completed);
     f.add(s.aborted);
@@ -100,30 +127,31 @@ std::uint64_t fold_experiment(const ExperimentResult& r) {
     f.add(o.hashes.size());
     for (const auto& [frame, hash] : o.hashes) {
       f.add_i(frame);
-      f.add(hash);
+      folds.hashes.add(hash);
     }
   }
-  return f.h;
+  return folds;
 }
 
-std::uint64_t fold_mesh(const MeshExperimentResult& r) {
-  Fold f;
+Folds fold_mesh(const MeshExperimentResult& r) {
+  Folds folds;
+  Fold& f = folds.timing;
   f.add(r.sites.size());
   for (const auto& s : r.sites) {
     // The mesh's own frame loop never filled FrameRecord::compute (it
     // stayed 0); the shared loop records the modelled cost there like the
     // two-site harness does, so that one column is left out of the fold.
-    fold_timeline(f, s.timeline, /*with_compute=*/false);
+    fold_timeline(folds, s.timeline, /*with_compute=*/false);
     fold_sync(f, s.sync_stats);
     f.add_i(s.frames_completed);
     f.add(s.aborted);
   }
-  return f.h;
+  return folds;
 }
 
 // ---- the cases -------------------------------------------------------------
 
-std::uint64_t rollback_skirmish() {
+Folds rollback_skirmish() {
   ExperimentConfig cfg;
   cfg.game = "agent86:skirmish";
   cfg.frames = 360;
@@ -144,7 +172,7 @@ std::uint64_t rollback_skirmish() {
   return fold_experiment(r);
 }
 
-std::uint64_t lockstep_duel_stalls_churn() {
+Folds lockstep_duel_stalls_churn() {
   ExperimentConfig cfg;
   cfg.game = "duel";
   cfg.frames = 360;
@@ -166,7 +194,7 @@ std::uint64_t lockstep_duel_stalls_churn() {
   return fold_experiment(r);
 }
 
-std::uint64_t tcp_like_duel() {
+Folds tcp_like_duel() {
   ExperimentConfig cfg;
   cfg.game = "duel";
   cfg.frames = 300;
@@ -180,7 +208,7 @@ std::uint64_t tcp_like_duel() {
   return fold_experiment(r);
 }
 
-std::uint64_t adaptive_lag_pong() {
+Folds adaptive_lag_pong() {
   ExperimentConfig cfg;
   cfg.game = "pong";
   cfg.frames = 300;
@@ -198,7 +226,7 @@ std::uint64_t adaptive_lag_pong() {
   return fold_experiment(r);
 }
 
-std::uint64_t mesh_case(const std::string& game, int num_sites, std::uint64_t seed) {
+Folds mesh_case(const std::string& game, int num_sites, std::uint64_t seed) {
   MeshExperimentConfig cfg;
   cfg.game = game;
   cfg.num_sites = num_sites;
@@ -219,7 +247,7 @@ std::uint64_t mesh_case(const std::string& game, int num_sites, std::uint64_t se
 
 struct Case {
   const char* name;
-  std::uint64_t (*run)();
+  Folds (*run)();
 };
 
 const Case kCases[] = {
@@ -233,38 +261,46 @@ const Case kCases[] = {
 
 struct Golden {
   const char* name;
-  std::uint64_t value;
+  std::uint64_t timing;
+  std::uint64_t hashes;
 };
 
 // clang-format off
 constexpr Golden kTable[] = {
-    {"rollback_skirmish", 0x20d4d5e1e3055634ull},
-    {"lockstep_duel_stalls_churn", 0xa32ae078c379a6a9ull},
-    {"tcp_like_duel", 0x4edf6e7828deaef7ull},
-    {"adaptive_lag_pong", 0xe3c0c4af116de867ull},
-    {"mesh_quadtron_4", 0xd26ab30e03c7fd55ull},
-    {"mesh_cellwars_2", 0x4163a6458f6f16dcull},
+    {"rollback_skirmish", 0x4c3ce9ea8b861e74ull, 0xb3f6e6d8c6fa4179ull},
+    {"lockstep_duel_stalls_churn", 0x3a437b0aac89a3aeull, 0x678c546e439675cbull},
+    {"tcp_like_duel", 0xd70675a16dab1412ull, 0x40fb1fa5a8500927ull},
+    {"adaptive_lag_pong", 0x37429423a64028ceull, 0x83c9b55d9dad705eull},
+    {"mesh_quadtron_4", 0xf491f28e9b2f468eull, 0x3b51746b61321210ull},
+    {"mesh_cellwars_2", 0x8e863608c556aac8ull, 0x09732338bf77c800ull},
 };
 // clang-format on
 
 TEST(GoldenTimeline, EveryCaseMatchesTheCommittedFold) {
   static_assert(std::size(kTable) == std::size(kCases));
-  std::vector<std::uint64_t> fresh;
+  std::vector<Folds> fresh;
   bool all_match = true;
   for (std::size_t i = 0; i < std::size(kCases); ++i) {
     ASSERT_STREQ(kCases[i].name, kTable[i].name);
     fresh.push_back(kCases[i].run());
-    if (fresh.back() != kTable[i].value) {
+    const Folds& f = fresh.back();
+    if (f.timing.h != kTable[i].timing) {
       all_match = false;
-      ADD_FAILURE() << kCases[i].name << ": fold 0x" << std::hex << fresh.back()
-                    << " != golden 0x" << kTable[i].value;
+      ADD_FAILURE() << kCases[i].name << ": timing fold 0x" << std::hex << f.timing.h
+                    << " != golden 0x" << kTable[i].timing;
+    }
+    if (f.hashes.h != kTable[i].hashes) {
+      all_match = false;
+      ADD_FAILURE() << kCases[i].name << ": hash fold 0x" << std::hex << f.hashes.h
+                    << " != golden 0x" << kTable[i].hashes;
     }
   }
   if (!all_match) {
     std::printf("// clang-format off\nconstexpr Golden kTable[] = {\n");
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      std::printf("    {\"%s\", 0x%016llxull},\n", kCases[i].name,
-                  static_cast<unsigned long long>(fresh[i]));
+      std::printf("    {\"%s\", 0x%016llxull, 0x%016llxull},\n", kCases[i].name,
+                  static_cast<unsigned long long>(fresh[i].timing.h),
+                  static_cast<unsigned long long>(fresh[i].hashes.h));
     }
     std::printf("};\n// clang-format on\n");
   }
@@ -273,7 +309,10 @@ TEST(GoldenTimeline, EveryCaseMatchesTheCommittedFold) {
 // The fold itself must be deterministic within one process (no hidden
 // global state leaks between runs of the same case).
 TEST(GoldenTimeline, RerunIsBitIdentical) {
-  EXPECT_EQ(tcp_like_duel(), tcp_like_duel());
+  const Folds a = tcp_like_duel();
+  const Folds b = tcp_like_duel();
+  EXPECT_EQ(a.timing.h, b.timing.h);
+  EXPECT_EQ(a.hashes.h, b.hashes.h);
 }
 
 }  // namespace

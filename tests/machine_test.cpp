@@ -11,6 +11,8 @@
 namespace rtct::emu {
 namespace {
 
+constexpr int kV3 = emu::kStateDigestVersion;
+
 Rom make_rom(const std::string& body) {
   auto r = assemble(".entry main\nmain:\n" + body, "test");
   EXPECT_TRUE(r.ok()) << r.error_text();
@@ -121,43 +123,43 @@ TEST(MachineTest, DigestV1EqualsStateHash) {
   }
 }
 
-TEST(MachineTest, DigestV2EqualStateMeansEqualDigest) {
-  // Two replicas fed identical inputs agree on the v2 digest every frame —
-  // the property the desync tripwire runs on. v2 is also domain-separated
-  // from v1: same state, different fingerprint function, different value.
+TEST(MachineTest, DigestV3EqualStateMeansEqualDigest) {
+  // Two replicas fed identical inputs agree on the v3 digest every frame —
+  // the property the desync tripwire runs on. v3 is also distinct from
+  // v1: same state, different fingerprint function, different value.
   ArcadeMachine a(make_rom(kEchoBody));
   ArcadeMachine b(make_rom(kEchoBody));
   for (int i = 0; i < 30; ++i) {
     const InputWord in = make_input(static_cast<std::uint8_t>(i * 7), static_cast<std::uint8_t>(i));
     a.step_frame(in);
     b.step_frame(in);
-    ASSERT_EQ(a.state_digest(2), b.state_digest(2)) << "frame " << i;
-    EXPECT_NE(a.state_digest(2), a.state_digest(1)) << "frame " << i;
+    ASSERT_EQ(a.state_digest(kV3), b.state_digest(kV3)) << "frame " << i;
+    EXPECT_NE(a.state_digest(kV3), a.state_digest(1)) << "frame " << i;
   }
 }
 
-TEST(MachineTest, DigestV2IncrementalMatchesFullRecompute) {
+TEST(MachineTest, DigestV3IncrementalMatchesFullRecompute) {
   // The dirty-page cache must be invisible: a replica that loads the
   // snapshot (all pages rehashed from scratch) computes the same digest
   // the original reached via incremental updates.
   ArcadeMachine m(make_rom(kEchoBody));
   for (int i = 0; i < 25; ++i) {
     m.step_frame(make_input(static_cast<std::uint8_t>(i), 0x20));
-    (void)m.state_digest(2);  // exercise the incremental path every frame
+    (void)m.state_digest(kV3);  // exercise the incremental path every frame
   }
-  const auto incremental = m.state_digest(2);
+  const auto incremental = m.state_digest(kV3);
   ArcadeMachine replica(make_rom(kEchoBody));
   ASSERT_TRUE(replica.load_state(m.save_state()));
-  EXPECT_EQ(replica.state_digest(2), incremental);
+  EXPECT_EQ(replica.state_digest(kV3), incremental);
 }
 
-TEST(MachineTest, DigestV2AnySingleByteMutationChangesDigest) {
+TEST(MachineTest, DigestV3AnySingleByteMutationChangesDigest) {
   // Flip one byte of serialized state, load it, digest must differ: the
   // per-page digests leave no blind spot anywhere in the mutable region
   // or the CPU/latch/tone/frame header.
   ArcadeMachine m(make_rom(kEchoBody));
   for (int i = 0; i < 10; ++i) m.step_frame(make_input(5, 9));
-  const auto base = m.state_digest(2);
+  const auto base = m.state_digest(kV3);
   auto snap = m.save_state();
   // Positions 0..8 are the snapshot's own version byte + ROM checksum
   // (load-rejected, not machine state). Cover the full header densely and
@@ -170,12 +172,12 @@ TEST(MachineTest, DigestV2AnySingleByteMutationChangesDigest) {
     snap[pos] ^= 0x01;
     ArcadeMachine replica(make_rom(kEchoBody));
     ASSERT_TRUE(replica.load_state(snap)) << "byte " << pos;
-    EXPECT_NE(replica.state_digest(2), base) << "byte " << pos;
+    EXPECT_NE(replica.state_digest(kV3), base) << "byte " << pos;
     snap[pos] ^= 0x01;
   }
 }
 
-TEST(MachineTest, DigestV2CrossCheckStaysClean) {
+TEST(MachineTest, DigestV3CrossCheckStaysClean) {
   // Full-rehash cross-check mode (the chaos-soak oracle): honest use of
   // the incremental cache must never trip it.
   set_state_digest_cross_check(true);
@@ -183,14 +185,96 @@ TEST(MachineTest, DigestV2CrossCheckStaysClean) {
   ArcadeMachine m(make_rom(kEchoBody));
   for (int i = 0; i < 20; ++i) {
     m.step_frame(make_input(static_cast<std::uint8_t>(i), 1));
-    (void)m.state_digest(2);
+    (void)m.state_digest(kV3);
   }
   ArcadeMachine replica(make_rom(kEchoBody));
   ASSERT_TRUE(replica.load_state(m.save_state()));
-  (void)replica.state_digest(2);
+  (void)replica.state_digest(kV3);
   set_state_digest_cross_check(false);
   EXPECT_EQ(state_digest_cross_check_failures(), 0u);
   EXPECT_FALSE(state_digest_cross_check());
+}
+
+// ---- PageDigestCache on a bare region: digest v3 itself ----
+
+void header_seven(digest_v3::HeaderMix& h) { h.u16(7); }
+
+/// The v3 digest of `mem` from scratch: a fresh cache starts all dirty.
+std::uint64_t scratch_digest(const std::vector<std::uint8_t>& mem) {
+  PageDigestCache fresh(mem.size() / kPageSize);
+  return fresh.digest(mem.data(), header_seven);
+}
+
+TEST(PageDigestCacheTest, IncrementalEqualsFromScratchAfterPokesRestoresAndMarkAll) {
+  for (const std::size_t pages : {std::size_t{128}, std::size_t{256}}) {
+    std::vector<std::uint8_t> mem(pages * kPageSize, 0);
+    PageDigestCache cache(pages);
+    std::vector<std::vector<std::uint8_t>> snaps;
+    Rng rng(21);
+    for (int round = 0; round < 400; ++round) {
+      for (auto n = rng.uniform(0, 20); n > 0; --n) {
+        const auto off = static_cast<std::size_t>(rng.uniform(0, mem.size() - 1));
+        mem[off] = static_cast<std::uint8_t>(rng.next_u64());
+        cache.mark_dirty(off);
+      }
+      if (round % 10 == 0) snaps.push_back(mem);
+      switch (rng.uniform(0, 9)) {
+        case 0: {
+          const auto last = static_cast<std::int64_t>(snaps.size()) - 1;
+          cache.restore(mem.data(), snaps[static_cast<std::size_t>(rng.uniform(0, last))]);
+          break;
+        }
+        case 1:
+          cache.mark_all_dirty();
+          break;
+        default:
+          break;
+      }
+      ASSERT_EQ(cache.digest(mem.data(), header_seven), scratch_digest(mem))
+          << pages << " pages, round " << round;
+    }
+  }
+}
+
+TEST(PageDigestCacheTest, SwappingTwoPagesOrChangingAHeaderFieldChangesTheDigest) {
+  std::vector<std::uint8_t> mem(128 * kPageSize, 0);
+  std::fill_n(mem.begin() + 3 * kPageSize, kPageSize, 0xAA);
+  std::fill_n(mem.begin() + 9 * kPageSize, kPageSize, 0x55);
+  PageDigestCache cache(128);
+  const auto before = cache.digest(mem.data(), header_seven);
+  // Same multiset of page contents, different positions: the terms are
+  // keyed by page index, so the sum moves.
+  std::swap_ranges(mem.begin() + 3 * kPageSize, mem.begin() + 4 * kPageSize,
+                   mem.begin() + 9 * kPageSize);
+  cache.mark_dirty(3 * kPageSize);
+  cache.mark_dirty(9 * kPageSize);
+  const auto swapped = cache.digest(mem.data(), header_seven);
+  EXPECT_NE(swapped, before);
+  EXPECT_EQ(swapped, scratch_digest(mem));
+  // The header is mixed in last: one field, or the order of two, matters.
+  EXPECT_NE(cache.digest(mem.data(), [](auto& h) { h.u16(8); }), swapped);
+  EXPECT_NE(cache.digest(mem.data(), [](auto& h) { h.u16(1); h.u16(2); }),
+            cache.digest(mem.data(), [](auto& h) { h.u16(2); h.u16(1); }));
+}
+
+TEST(PageDigestCacheTest, UnmarkedWriteTripsTheCrossCheckExactlyOnce) {
+  std::vector<std::uint8_t> mem(128 * kPageSize, 0);
+  PageDigestCache cache(128);
+  set_state_digest_cross_check(true);
+  (void)cache.digest(mem.data(), header_seven);
+  EXPECT_EQ(state_digest_cross_check_failures(), 0u);
+  mem[77 * kPageSize + 5] ^= 0x10;  // a store that forgot mark_dirty
+  // The cross-check counts the stale page once, adopts the recomputed
+  // terms, and so returns the from-scratch digest from then on.
+  EXPECT_EQ(cache.digest(mem.data(), header_seven), scratch_digest(mem));
+  EXPECT_EQ(state_digest_cross_check_failures(), 1u);
+  EXPECT_EQ(cache.digest(mem.data(), header_seven), scratch_digest(mem));
+  EXPECT_EQ(state_digest_cross_check_failures(), 1u);
+  set_state_digest_cross_check(false);
+  // Unarmed, the same mistake goes unseen: the cached term is stale.
+  mem[20 * kPageSize] ^= 0x01;
+  EXPECT_NE(cache.digest(mem.data(), header_seven), scratch_digest(mem));
+  EXPECT_EQ(state_digest_cross_check_failures(), 1u);
 }
 
 TEST(MachineTest, SaveStateIntoMatchesSaveStateAndReusesCapacity) {
@@ -226,11 +310,11 @@ TEST(MachineTest, RestoreAndResimulateEqualsStraightLine) {
   std::vector<std::uint64_t> want(static_cast<std::size_t>(kFrames));
   for (int f = 0; f < kFrames; ++f) {
     straight->step_frame(inputs[static_cast<std::size_t>(f)]);
-    want[static_cast<std::size_t>(f)] = straight->state_digest(2);
+    want[static_cast<std::size_t>(f)] = straight->state_digest(kV3);
   }
 
   set_state_digest_cross_check(true);
-  const std::uint64_t genesis = rb->state_digest(2);
+  const std::uint64_t genesis = rb->state_digest(kV3);
   std::vector<std::uint8_t> snap;  // reused, as the rollback ring does
   int f = 0;
   while (f < kFrames) {
@@ -239,17 +323,17 @@ TEST(MachineTest, RestoreAndResimulateEqualsStraightLine) {
     const int depth = 1 + static_cast<int>(rng.next_u64() % 8);
     for (int j = 0; j < depth && f + j < kFrames; ++j) {
       rb->step_frame(static_cast<InputWord>(rng.next_u64()));
-      (void)rb->state_digest(2);  // keep the incremental cache hot
+      (void)rb->state_digest(kV3);  // keep the incremental cache hot
     }
     // Restore: the machine must be byte-equivalent to pre-speculation.
     ASSERT_TRUE(rb->load_state(snap));
-    ASSERT_EQ(rb->state_digest(2),
+    ASSERT_EQ(rb->state_digest(kV3),
               f == 0 ? genesis : want[static_cast<std::size_t>(f - 1)])
         << "restore did not reproduce pre-speculation state at frame " << f;
     // Re-simulate the true inputs over the speculated span.
     for (int j = 0; j < depth && f < kFrames; ++j, ++f) {
       rb->step_frame(inputs[static_cast<std::size_t>(f)]);
-      ASSERT_EQ(rb->state_digest(2), want[static_cast<std::size_t>(f)])
+      ASSERT_EQ(rb->state_digest(kV3), want[static_cast<std::size_t>(f)])
           << "restore + re-simulate diverged from straight line at frame " << f;
     }
   }
@@ -310,19 +394,19 @@ TEST(MachineTest, RestoreAfterDivergenceMatchesFreshLoad) {
   Rng rng(15);
   for (int i = 0; i < 40; ++i) {
     m->step_frame(static_cast<InputWord>(rng.next_u64()));
-    (void)m->state_digest(2);
+    (void)m->state_digest(kV3);
   }
   const auto snap = m->save_state();
   for (int i = 0; i < 6; ++i) {
     m->step_frame(static_cast<InputWord>(rng.next_u64()));
-    (void)m->state_digest(2);
+    (void)m->state_digest(kV3);
   }
   m->poke(0x9000, static_cast<std::uint8_t>(m->peek(0x9000) + 1));
-  (void)m->state_digest(2);
+  (void)m->state_digest(kV3);
   ASSERT_TRUE(m->load_state(snap));
   auto fresh = games::make_machine("torture");
   ASSERT_TRUE(fresh->load_state(snap));
-  EXPECT_EQ(m->state_digest(2), fresh->state_digest(2));
+  EXPECT_EQ(m->state_digest(kV3), fresh->state_digest(kV3));
   EXPECT_EQ(m->page_digests(), fresh->page_digests());
   set_state_digest_cross_check(false);
   EXPECT_EQ(state_digest_cross_check_failures(), 0u);
@@ -336,16 +420,16 @@ TEST(MachineTest, RestoreRehashesDirtyPageWhoseBytesMatchSnapshot) {
   set_state_digest_cross_check(true);
   ArcadeMachine m(make_rom(kEchoBody));
   for (int i = 0; i < 5; ++i) m.step_frame(make_input(static_cast<std::uint8_t>(i), 2));
-  (void)m.state_digest(2);
+  (void)m.state_digest(kV3);
   const auto snap = m.save_state();
   const std::uint8_t orig = m.peek(0x9123);
   m.poke(0x9123, static_cast<std::uint8_t>(orig ^ 0x5A));
-  (void)m.state_digest(2);  // caches the poked page's digest
+  (void)m.state_digest(kV3);  // caches the poked page's digest
   m.poke(0x9123, orig);     // bytes equal the snapshot again, page dirty
   ASSERT_TRUE(m.load_state(snap));
   ArcadeMachine fresh(make_rom(kEchoBody));
   ASSERT_TRUE(fresh.load_state(snap));
-  EXPECT_EQ(m.state_digest(2), fresh.state_digest(2));
+  EXPECT_EQ(m.state_digest(kV3), fresh.state_digest(kV3));
   set_state_digest_cross_check(false);
   EXPECT_EQ(state_digest_cross_check_failures(), 0u);
 }
@@ -359,7 +443,7 @@ TEST(MachineTest, LoadStateRejectsFaultAndFlagsSaveStateNeverWrites) {
   const auto old_snap = m.save_state();
   for (int i = 0; i < 3; ++i) m.step_frame(make_input(9, static_cast<std::uint8_t>(i)));
   const auto before = m.save_state();
-  const auto digest = m.state_digest(2);
+  const auto digest = m.state_digest(kV3);
   ASSERT_NE(old_snap, before);
 
   auto bad_fault = old_snap;
@@ -369,7 +453,7 @@ TEST(MachineTest, LoadStateRejectsFaultAndFlagsSaveStateNeverWrites) {
   for (const auto& bad : {bad_fault, bad_flags}) {
     EXPECT_FALSE(m.load_state(bad));
     EXPECT_EQ(m.save_state(), before);
-    EXPECT_EQ(m.state_digest(2), digest);
+    EXPECT_EQ(m.state_digest(kV3), digest);
   }
   // The top valid values still load.
   auto ok = old_snap;

@@ -3,7 +3,9 @@
 # tests/fixtures/ must stay reproducible bit-for-bit from the generator,
 # and `rtct_replay bisect` must produce byte-identical JSON across runs
 # that matches the committed expected report (the rtct.bisect.v1 export is
-# a stable interface, not best-effort diagnostics).
+# a stable interface, not best-effort diagnostics). It also checks that a
+# recording with the retired digest version 2 (from the corpus beside the
+# fixture directory) is refused.
 #
 # Usage: replay_bisect_test.sh <path-to-rtct_replay> <fixture-dir>
 set -u
@@ -53,6 +55,22 @@ code=$?
 check "self-bisect exits clean (0)" [ "$code" -eq 0 ]
 check "self-bisect verdict is identical" \
   grep -q '"verdict":"identical"' "$tmp/self.json"
+
+# 4. A recording stamped with the retired digest version 2 is refused with
+#    an explicit error, not verified against digests it cannot compute;
+#    --digest-version accepts only 1 and 3.
+RETIRED="$FIXTURES/../corpus/rpl2_digest_version_2.rpl"
+"$REPLAY" info "$RETIRED" > /dev/null 2> "$tmp/retired.err"
+code=$?
+check "a digest-version-2 recording is refused (exit 1)" [ "$code" -eq 1 ]
+check "the refusal names the digest version" \
+  grep -q "digest version 2 is not supported" "$tmp/retired.err"
+"$REPLAY" seek "$FIXTURES/bisect_twin_a.rpl" 10 --digest-version 2 \
+  > /dev/null 2> "$tmp/dv.err"
+code=$?
+check "--digest-version 2 is rejected (exit 1)" [ "$code" -eq 1 ]
+check "--digest-version 3 seeks" \
+  "$REPLAY" seek "$FIXTURES/bisect_twin_a.rpl" 10 --digest-version 3
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

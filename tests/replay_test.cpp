@@ -83,7 +83,6 @@ TEST(ReplayTest, GameNameRoundTripsInBothContainerVersions) {
   EXPECT_EQ(parsed1->game_name(), "ac16:duel");
 
   SyncConfig kf_cfg;
-  kf_cfg.digest_v2 = true;
   kf_cfg.replay_keyframe_interval = 10;
   Replay v2(m->content_id(), kf_cfg, "agent86:skirmish");
   for (int f = 0; f < 25; ++f) {
@@ -161,7 +160,7 @@ TEST(ReplayTest, DistributedSessionRecordingReplaysIdentically) {
           ++mismatches;
         }
       },
-      cfg.sync.digest_version()));
+      emu::kStateDigestVersion));
   EXPECT_EQ(mismatches, 0u);
 }
 
@@ -188,7 +187,7 @@ TEST(ReplayTest, ChaoticSessionRecordingReplaysIdentically) {
           ++mismatches;
         }
       },
-      cfg.sync.digest_version()));
+      emu::kStateDigestVersion));
   EXPECT_EQ(mismatches, 0u);
 }
 
@@ -199,10 +198,9 @@ TEST(ReplayTest, ChaoticSessionRecordingReplaysIdentically) {
 /// the ground truth every random-access path must reproduce.
 Replay make_keyframed_session(int frames, int interval, std::uint64_t seed,
                               std::vector<std::uint64_t>* linear_v1,
-                              std::vector<std::uint64_t>* linear_v2) {
+                              std::vector<std::uint64_t>* linear_v3) {
   auto m = games::make_machine("torture");
   SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = interval;
   Replay rec(m->content_id(), cfg);
   Rng rng(seed);
@@ -212,7 +210,7 @@ Replay make_keyframed_session(int frames, int interval, std::uint64_t seed,
     rec.record(input);
     if (rec.keyframe_due()) rec.record_keyframe(*m);
     if (linear_v1 != nullptr) linear_v1->push_back(m->state_digest(1));
-    if (linear_v2 != nullptr) linear_v2->push_back(m->state_digest(2));
+    if (linear_v3 != nullptr) linear_v3->push_back(m->state_digest(emu::kStateDigestVersion));
   }
   return rec;
 }
@@ -220,12 +218,12 @@ Replay make_keyframed_session(int frames, int interval, std::uint64_t seed,
 TEST(ReplayTest, SeekEqualsLinearEverywhereProperty) {
   // The RTCTRPL2 correctness property: for ANY frame f, seeking (restore
   // nearest keyframe + re-simulate) must land on the exact state the
-  // straight-line replay reaches at f — under digest v1 AND v2, including
+  // straight-line replay reaches at f — under digest v1 AND v3, including
   // on/just-before/just-after every keyframe boundary.
   constexpr int kFrames = 2000;
   constexpr int kInterval = 150;
-  std::vector<std::uint64_t> v1, v2;
-  const Replay rec = make_keyframed_session(kFrames, kInterval, 99, &v1, &v2);
+  std::vector<std::uint64_t> v1, v3;
+  const Replay rec = make_keyframed_session(kFrames, kInterval, 99, &v1, &v3);
   ASSERT_EQ(rec.container_version(), 2);
   ASSERT_FALSE(rec.keyframes().empty());
 
@@ -252,9 +250,9 @@ TEST(ReplayTest, SeekEqualsLinearEverywhereProperty) {
     ASSERT_TRUE(d1.has_value()) << "frame " << f;
     EXPECT_EQ(*d1, v1[static_cast<std::size_t>(f)]) << "digest v1 at frame " << f;
     EXPECT_LT(st.resimulated, kInterval + 1) << "seek cost blew the interval bound";
-    const auto d2 = parsed->seek(*m, f, 2);
-    ASSERT_TRUE(d2.has_value()) << "frame " << f;
-    EXPECT_EQ(*d2, v2[static_cast<std::size_t>(f)]) << "digest v2 at frame " << f;
+    const auto d3 = parsed->seek(*m, f, emu::kStateDigestVersion);
+    ASSERT_TRUE(d3.has_value()) << "frame " << f;
+    EXPECT_EQ(*d3, v3[static_cast<std::size_t>(f)]) << "digest v3 at frame " << f;
   }
 }
 
@@ -299,9 +297,36 @@ TEST(ReplayTest, CorruptKeyframeStateFailsSeekNotParse) {
   EXPECT_TRUE(parsed->seek(*m, 150).has_value());    // keyframe 99 is intact
 }
 
+TEST(ReplayTest, RefusesDigestVersion2WithAnExplicitError) {
+  // Recordings stamp digest version 3. A version-2 file's keyframe digests
+  // cannot be verified any more, so parse() refuses it and says why rather
+  // than failing every seek as "corrupt". Version 1 files still parse.
+  const Replay rec = make_keyframed_session(120, 50, 3, nullptr, nullptr);
+  EXPECT_EQ(rec.digest_version(), emu::kStateDigestVersion);
+  const auto good = rec.serialize();
+  constexpr std::size_t kOffDigestVersion = 24;  // see the RTCTRPL2 layout
+  ASSERT_EQ(good[kOffDigestVersion], emu::kStateDigestVersion);
+  const auto restamp = [&good](std::uint8_t version) {
+    auto bytes = good;
+    bytes[kOffDigestVersion] = version;
+    const std::uint64_t crc = fnv1a64({bytes.data(), bytes.size() - 8});
+    std::memcpy(bytes.data() + bytes.size() - 8, &crc, 8);
+    return bytes;
+  };
+  std::string why;
+  EXPECT_FALSE(Replay::parse(restamp(2), &why).has_value());
+  EXPECT_NE(why.find("digest version 2 is not supported"), std::string::npos) << why;
+  const auto v1 = Replay::parse(restamp(1));
+  ASSERT_TRUE(v1.has_value());
+  EXPECT_EQ(v1->digest_version(), 1);
+  const auto v3 = Replay::parse(good);
+  ASSERT_TRUE(v3.has_value());
+  EXPECT_EQ(v3->digest_version(), emu::kStateDigestVersion);
+}
+
 TEST(ReplayTest, BranchKeepsPrefixInputsAndKeyframes) {
-  std::vector<std::uint64_t> v2;
-  const Replay rec = make_keyframed_session(500, 100, 7, nullptr, &v2);
+  std::vector<std::uint64_t> v3;
+  const Replay rec = make_keyframed_session(500, 100, 7, nullptr, &v3);
   const Replay cut = rec.branch(250);
   EXPECT_EQ(cut.frames(), 251);
   ASSERT_EQ(cut.keyframes().size(), 2u);  // 99 and 199
@@ -310,9 +335,9 @@ TEST(ReplayTest, BranchKeepsPrefixInputsAndKeyframes) {
 
   // The fork replays to exactly the state the original had at frame 250.
   auto m = games::make_machine("torture");
-  const auto d = cut.seek(*m, 250, 2);
+  const auto d = cut.seek(*m, 250, emu::kStateDigestVersion);
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, v2[250]);
+  EXPECT_EQ(*d, v3[250]);
 
   // Branch past the end is a full copy; branch before 0 is empty.
   EXPECT_EQ(rec.branch(10'000).frames(), 500);

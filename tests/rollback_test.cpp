@@ -110,7 +110,7 @@ struct Rig {
       ASSERT_EQ(a_.confirmed_input(f), b_.confirmed_input(f)) << "frame " << f;
       ASSERT_EQ(a_.confirmed_digest(f), b_.confirmed_digest(f)) << "frame " << f;
       twin->step_frame(a_.confirmed_input(f));
-      ASSERT_EQ(twin->state_digest(cfg_.digest_version()), a_.confirmed_digest(f))
+      ASSERT_EQ(twin->state_digest(emu::kStateDigestVersion), a_.confirmed_digest(f))
           << "straight-line twin diverged at frame " << f;
     }
     EXPECT_FALSE(pa_.desync_detected());
@@ -294,7 +294,7 @@ TEST(RollbackSessionTest, ConfirmedStateIsALoadableSnapshotOfTheFrontier) {
   auto probe = games::make_cellwars();
   ASSERT_TRUE(probe->load_state(rig.a_.confirmed_state()));
   EXPECT_EQ(probe->frame(), confirmed);
-  EXPECT_EQ(probe->state_digest(rig.cfg_.digest_version()),
+  EXPECT_EQ(probe->state_digest(emu::kStateDigestVersion),
             rig.a_.confirmed_digest(confirmed - 1));
   // And it is *not* the speculative head state.
   EXPECT_NE(probe->frame(), rig.a_.current_frame());

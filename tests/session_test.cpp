@@ -71,61 +71,25 @@ TEST(SessionTest, MasterIgnoresSyncTrafficShortcut) {
   EXPECT_FALSE(master.running());  // master must see a HELLO first
 }
 
-TEST(SessionTest, DigestV2NegotiatedWhenBothCapable) {
-  // digest_v2 defaults on: two stock sites agree on the v2 fingerprint,
-  // the master decides and the START flag carries it to the slave.
+TEST(SessionTest, ProtocolV4RefusesAV3Peer) {
+  // Protocol v3 peers may compare version-2 state digests, which a v4 site
+  // no longer computes; mixed fingerprints would trip the desync check, so
+  // the handshake refuses the pair. Bit 1 of the HELLO/START flags (v3's
+  // digest capability) is reserved and left clear.
+  ASSERT_EQ(kProtocolVersion, 4u);
   SessionControl master(0, kRom, cfg());
   SessionControl slave(1, kRom, cfg());
-  relay(slave, master, 0);
-  EXPECT_EQ(master.digest_version(), 2);
-  auto start = master.poll(0);
-  ASSERT_TRUE(start.has_value());
-  EXPECT_NE(std::get<StartMsg>(*start).flags & kFlagStateDigestV2, 0u);
-  slave.ingest(*start, milliseconds(1));
-  EXPECT_TRUE(slave.running());
-  EXPECT_EQ(slave.digest_version(), 2);
-}
-
-TEST(SessionTest, DigestFallsBackToV1WithLegacyPeer) {
-  // One side without the capability (an older build) drags both to v1 —
-  // mixed fingerprint functions would false-positive the desync tripwire.
-  SyncConfig legacy = cfg();
-  legacy.digest_v2 = false;
-  {
-    SessionControl master(0, kRom, cfg());
-    SessionControl slave(1, kRom, legacy);
-    relay(slave, master, 0);
-    EXPECT_EQ(master.digest_version(), 1);
-    relay(master, slave, milliseconds(1));
-    EXPECT_EQ(slave.digest_version(), 1);
-  }
-  {
-    SessionControl master(0, kRom, legacy);
-    SessionControl slave(1, kRom, cfg());
-    relay(slave, master, 0);
-    EXPECT_EQ(master.digest_version(), 1);
-    relay(master, slave, milliseconds(1));
-    // The START carries no v2 flag, so the capable slave stays on v1.
-    EXPECT_EQ(slave.digest_version(), 1);
-  }
-}
-
-TEST(SessionTest, SyncTrafficShortcutAdoptsPeerCapability) {
-  // A slave started by the sync-traffic shortcut saw no START flags; it
-  // falls back to the peer's HELLO capability when one was seen.
-  SessionControl slave(1, kRom, cfg());
-  {
-    SyncConfig legacy = cfg();
-    legacy.digest_v2 = false;
-    SessionControl legacy_master(0, kRom, legacy);
-    auto m = legacy_master.poll(0);  // master's own HELLO
-    ASSERT_TRUE(m.has_value());
-    ASSERT_TRUE(std::holds_alternative<HelloMsg>(*m));
-    slave.ingest(*m, 0);
-  }
-  slave.note_sync_traffic(milliseconds(70));
-  EXPECT_TRUE(slave.running());
-  EXPECT_EQ(slave.digest_version(), 1);
+  auto hello = slave.poll(0);
+  ASSERT_TRUE(hello.has_value());
+  auto v3 = std::get<HelloMsg>(*hello);
+  EXPECT_EQ(v3.flags & 0x02, 0);
+  v3.protocol_version = 3;
+  v3.flags |= 0x02;  // what a v3 peer advertised
+  master.ingest(Message{v3}, 0);
+  EXPECT_EQ(master.state(), SessionState::kFailed);
+  EXPECT_NE(master.failure_reason().find("protocol version mismatch: peer 3 vs 4"),
+            std::string::npos)
+      << master.failure_reason();
 }
 
 TEST(SessionTest, ChecksumMismatchFails) {

@@ -102,17 +102,17 @@ TEST(WireTest, StartCarriesNegotiatedBufFrames) {
   EXPECT_EQ(std::get<StartMsg>(*decoded).buf_frames, 17);
 }
 
-TEST(WireTest, StartCarriesDigestFlags) {
+TEST(WireTest, StartCarriesFlags) {
   StartMsg s;
   s.site = 1;
   s.buf_frames = 6;
-  s.flags = kFlagStateDigestV2;
+  s.flags = kFlagRollback;
   const auto decoded = decode_message(encode_message(Message{s}));
   ASSERT_TRUE(decoded.has_value());
   const auto& out = std::get<StartMsg>(*decoded);
-  EXPECT_EQ(out.flags, kFlagStateDigestV2);
+  EXPECT_EQ(out.flags, kFlagRollback);
   EXPECT_EQ(out.buf_frames, 6);
-  // flags defaults to 0 and round-trips as such (v1-digest sessions).
+  // flags defaults to 0 and round-trips as such.
   const auto plain = decode_message(encode_message(Message{StartMsg{0}}));
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(std::get<StartMsg>(*plain).flags, 0);

@@ -48,18 +48,22 @@ using rtct::FrameNo;
 int usage() {
   std::fprintf(stderr,
                "usage: rtct_replay info FILE.rpl\n"
-               "       rtct_replay seek FILE.rpl FRAME [--digest-version N]\n"
+               "       rtct_replay seek FILE.rpl FRAME [--digest-version 1|3]\n"
                "       rtct_replay rewind FILE.rpl [--step N]\n"
                "       rtct_replay branch FILE.rpl FRAME OUT.rpl\n"
                "       rtct_replay bisect A.rpl B.rpl\n"
-               "       rtct_replay bisect A.rpl --timeline T.json [--digest-version N]\n"
+               "       rtct_replay bisect A.rpl --timeline T.json [--digest-version 1|3]\n"
                "       rtct_replay gen-fixture DIR\n");
   return 1;
 }
 
 std::optional<Replay> load_or_complain(const std::string& path) {
-  auto r = Replay::load_file(path);
-  if (!r) std::fprintf(stderr, "rtct_replay: %s: not a valid replay container\n", path.c_str());
+  std::string why;
+  auto r = Replay::load_file(path, &why);
+  if (!r) {
+    std::fprintf(stderr, "rtct_replay: %s: %s\n", path.c_str(),
+                 why.empty() ? "not a valid replay container" : why.c_str());
+  }
   return r;
 }
 
@@ -229,7 +233,6 @@ int cmd_gen_fixture(const std::string& dir) {
   auto game = rtct::cores::make_game("ac16:torture");
   if (game == nullptr) return 1;
   rtct::core::SyncConfig cfg;
-  cfg.digest_v2 = true;
   cfg.replay_keyframe_interval = kFixtureInterval;
   Replay a(game->content_id(), cfg, game->content_name());
   rtct::Rng rng(42);
@@ -303,6 +306,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--digest-version" && i + 1 < args.size()) {
       digest_version = std::atoi(args[++i].c_str());
+      if (digest_version != 1 && digest_version != rtct::emu::kStateDigestVersion) {
+        std::fprintf(stderr, "rtct_replay: --digest-version must be 1 or 3\n");
+        return usage();
+      }
     } else if (args[i] == "--step" && i + 1 < args.size()) {
       step = std::atoll(args[++i].c_str());
     } else if (args[i] == "--timeline" && i + 1 < args.size()) {
