@@ -3,16 +3,19 @@
 // Every registered core:game runs 300 frames of SplitMix64-scripted input;
 // the per-frame state_digest(1) and state_digest(3) values are folded into
 // one u64 per game and version and compared against the committed table
-// below. The v1 column predates the shared page-digest cache; the v3 column
-// was produced when digest v3 replaced v2. Any change to the digest
-// functions, to the dirty-page bookkeeping, or to the cores' behaviour
-// shows up here as a mismatch on every build leg (default, sanitize,
-// portable switch dispatch).
+// below. A third column folds fnv1a64(save_state()) after every 25th
+// frame, so the snapshot bytes are pinned too. The v1 column predates the
+// shared page-digest cache; the v3 column was produced when digest v3
+// replaced v2. Any change to the digest functions, to the snapshot format,
+// to the dirty-page bookkeeping, or to the cores' behaviour shows up here
+// as a mismatch on every build leg (default, sanitize, portable switch
+// dispatch).
 //
 // Two more runs must reproduce the same chains:
 //   * a restore-heavy run that, every 7 frames, loads the snapshot taken
 //     4 frames earlier and re-steps (with the full-rehash cross-check
-//     armed) — restores must be invisible to both digest versions;
+//     armed) — restores must be invisible to both digest versions and to
+//     the snapshots;
 //   * the AC16 and agent86 games on their reference byte-fetch
 //     interpreters, straight and restore-heavy.
 //
@@ -47,26 +50,28 @@ constexpr int kV3 = emu::kStateDigestVersion;
 constexpr int kFrames = 300;
 constexpr int kRestoreEvery = 7;
 constexpr int kRestoreDepth = 4;
+constexpr int kSnapshotEvery = 25;
 
 struct Golden {
   const char* game;
   std::uint64_t v1;
   std::uint64_t v3;
+  std::uint64_t snap;
 };
 
 // clang-format off
 constexpr Golden kTable[] = {
-    {"ac16:pong", 0xd7272547ccc869d8ull, 0xb6beb70466481fd6ull},
-    {"ac16:duel", 0x69f4ed6257c45846ull, 0x3658715766b906cfull},
-    {"ac16:invaders", 0xc0ef211ae1cffa90ull, 0xca7937fc2a9c30a0ull},
-    {"ac16:tron", 0x123ce4a356403c3bull, 0xc76c333c6c43bf70ull},
-    {"ac16:tanks", 0xfd234cb8ce0032efull, 0x0b303543569952eaull},
-    {"ac16:quadtron", 0x423b28c04d7e2fc8ull, 0x03fdf63fdf7d7695ull},
-    {"ac16:torture", 0xa154134ea8783cc2ull, 0x8e379f285fb9d38cull},
-    {"agent86:skirmish", 0x8b7e76bcbbf7a15full, 0x2f763d8ddee3023eull},
-    {"agent86:pong", 0x0136e01da47a4f9cull, 0xfe51f67fb3df32acull},
-    {"agent86:havoc", 0xe82db2ed6bd2de7eull, 0x4e2a1996d84f604cull},
-    {"native:cellwars", 0x109de438efc998a8ull, 0x109de438efc998a8ull},
+    {"ac16:pong", 0xd7272547ccc869d8ull, 0xb6beb70466481fd6ull, 0xb4f9aec9049792d7ull},
+    {"ac16:duel", 0x69f4ed6257c45846ull, 0x3658715766b906cfull, 0x0d1ea6df29cadd61ull},
+    {"ac16:invaders", 0xc0ef211ae1cffa90ull, 0xca7937fc2a9c30a0ull, 0x3fbc0fdc42329aadull},
+    {"ac16:tron", 0x123ce4a356403c3bull, 0xc76c333c6c43bf70ull, 0x311048e5eb2eee8cull},
+    {"ac16:tanks", 0xfd234cb8ce0032efull, 0x0b303543569952eaull, 0x87fa2ea600da50ebull},
+    {"ac16:quadtron", 0x423b28c04d7e2fc8ull, 0x03fdf63fdf7d7695ull, 0x0d713a1d0d475737ull},
+    {"ac16:torture", 0xa154134ea8783cc2ull, 0x8e379f285fb9d38cull, 0x77cda26dd1c664a7ull},
+    {"agent86:skirmish", 0x8b7e76bcbbf7a15full, 0x2f763d8ddee3023eull, 0x97375a190f1f4560ull},
+    {"agent86:pong", 0x0136e01da47a4f9cull, 0xfe51f67fb3df32acull, 0xe479dbb762ba2a00ull},
+    {"agent86:havoc", 0xe82db2ed6bd2de7eull, 0x4e2a1996d84f604cull, 0xef6c26f948734d2eull},
+    {"native:cellwars", 0x109de438efc998a8ull, 0x109de438efc998a8ull, 0x41613ccb9fb06d4bull},
 };
 // clang-format on
 
@@ -87,23 +92,34 @@ std::vector<InputWord> scripted_inputs(const std::string& game) {
 struct Chains {
   std::uint64_t v1;
   std::uint64_t v3;
+  std::uint64_t snap;
+};
+
+/// Folds frame f's digests, and every kSnapshotEvery-th frame's snapshot.
+struct Folds {
+  Fnv1a64 c1, c3, cs;
+  void frame(const emu::IDeterministicGame& g, int f) {
+    c1.update_u64(g.state_digest(1));
+    c3.update_u64(g.state_digest(kV3));
+    if ((f + 1) % kSnapshotEvery == 0) cs.update_u64(fnv1a64(g.save_state()));
+  }
+  [[nodiscard]] Chains chains() const { return {c1.digest(), c3.digest(), cs.digest()}; }
 };
 
 Chains straight_chain(emu::IDeterministicGame& g, const std::vector<InputWord>& in) {
-  Fnv1a64 c1, c3;
-  for (const InputWord w : in) {
-    g.step_frame(w);
-    c1.update_u64(g.state_digest(1));
-    c3.update_u64(g.state_digest(kV3));
+  Folds folds;
+  for (int f = 0; f < kFrames; ++f) {
+    g.step_frame(in[static_cast<std::size_t>(f)]);
+    folds.frame(g, f);
   }
-  return {c1.digest(), c3.digest()};
+  return folds.chains();
 }
 
 /// Same chain, but every kRestoreEvery frames the game loads the snapshot
 /// taken kRestoreDepth frames earlier and re-steps the frames in between.
 /// Only the first visit of each frame is folded into the chain.
 Chains restore_heavy_chain(emu::IDeterministicGame& g, const std::vector<InputWord>& in) {
-  Fnv1a64 c1, c3;
+  Folds folds;
   std::deque<std::vector<std::uint8_t>> snaps;  // snaps.back(): state before frame f
   for (int f = 0; f < kFrames; ++f) {
     snaps.push_back(g.save_state());
@@ -117,10 +133,9 @@ Chains restore_heavy_chain(emu::IDeterministicGame& g, const std::vector<InputWo
       }
     }
     g.step_frame(in[static_cast<std::size_t>(f)]);
-    c1.update_u64(g.state_digest(1));
-    c3.update_u64(g.state_digest(kV3));
+    folds.frame(g, f);
   }
-  return {c1.digest(), c3.digest()};
+  return folds.chains();
 }
 
 const Golden* find_golden(const std::string& game) {
@@ -142,9 +157,10 @@ using Rows = std::vector<std::pair<std::string, Chains>>;
 std::string table_source(const Rows& rows) {
   std::string out = "// clang-format off\nconstexpr Golden kTable[] = {\n";
   for (const auto& [game, c] : rows) {
-    char row[160];
-    std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull, 0x%016llxull},\n", game.c_str(),
-                  static_cast<unsigned long long>(c.v1), static_cast<unsigned long long>(c.v3));
+    char row[192];
+    std::snprintf(row, sizeof row, "    {\"%s\", 0x%016llxull, 0x%016llxull, 0x%016llxull},\n",
+                  game.c_str(), static_cast<unsigned long long>(c.v1),
+                  static_cast<unsigned long long>(c.v3), static_cast<unsigned long long>(c.snap));
     out += row;
   }
   return out + "};\n// clang-format on\n";
@@ -152,7 +168,7 @@ std::string table_source(const Rows& rows) {
 
 Rows committed_rows() {
   Rows out;
-  for (const auto& row : kTable) out.emplace_back(row.game, Chains{row.v1, row.v3});
+  for (const auto& row : kTable) out.emplace_back(row.game, Chains{row.v1, row.v3, row.snap});
   return out;
 }
 
@@ -189,6 +205,7 @@ TEST(GoldenDigest, RestoreHeavyChainsEqualStraightChains) {
     const Chains c = restore_heavy_chain(*g, scripted_inputs(name));
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain with restores";
     EXPECT_EQ(c.v3, want->v3) << name << " v3 chain with restores";
+    EXPECT_EQ(c.snap, want->snap) << name << " snapshot chain with restores";
   }
   emu::set_state_digest_cross_check(false);
   EXPECT_EQ(emu::state_digest_cross_check_failures(), 0u);
@@ -206,10 +223,13 @@ TEST(GoldenDigest, Ac16ReferenceInterpreterMatchesTable) {
     const Chains c = straight_chain(*m, in);
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
     EXPECT_EQ(c.v3, want->v3) << name << " v3 chain, reference interpreter";
+    EXPECT_EQ(c.snap, want->snap) << name << " snapshot chain, reference interpreter";
     auto r = games::make_machine(game, cfg);
     const Chains rc = restore_heavy_chain(*r, in);
     EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
     EXPECT_EQ(rc.v3, want->v3) << name << " v3 chain, reference interpreter with restores";
+    EXPECT_EQ(rc.snap, want->snap)
+        << name << " snapshot chain, reference interpreter with restores";
   }
 }
 
@@ -225,10 +245,13 @@ TEST(GoldenDigest, Agent86ReferenceInterpreterMatchesTable) {
     const Chains c = straight_chain(*m, in);
     EXPECT_EQ(c.v1, want->v1) << name << " v1 chain, reference interpreter";
     EXPECT_EQ(c.v3, want->v3) << name << " v3 chain, reference interpreter";
+    EXPECT_EQ(c.snap, want->snap) << name << " snapshot chain, reference interpreter";
     auto r = a86::make_machine(game, cfg);
     const Chains rc = restore_heavy_chain(*r, in);
     EXPECT_EQ(rc.v1, want->v1) << name << " v1 chain, reference interpreter with restores";
     EXPECT_EQ(rc.v3, want->v3) << name << " v3 chain, reference interpreter with restores";
+    EXPECT_EQ(rc.snap, want->snap)
+        << name << " snapshot chain, reference interpreter with restores";
   }
 }
 
@@ -240,7 +263,7 @@ int regenerate() {
   for (const auto& [name, c] : rows) {
     auto g = cores::make_game(name);
     const Chains rc = restore_heavy_chain(*g, scripted_inputs(name));
-    if (rc.v1 != c.v1 || rc.v3 != c.v3) {
+    if (rc.v1 != c.v1 || rc.v3 != c.v3 || rc.snap != c.snap) {
       std::fprintf(stderr, "%s: the restore-heavy chains differ from the straight chains\n",
                    name.c_str());
       ++disagreements;
