@@ -1,12 +1,10 @@
-// SPEC-SCALE — spectator fan-out scaling: the SpectatorBroadcastHub
-// against the one-SpectatorHost-per-observer baseline it replaced.
+// SPEC-SCALE — spectator fan-out scaling of the SpectatorBroadcastHub.
 //
 // All observers sit at identical cursors (the common case: a healthy
 // broadcast where everyone acks promptly), so the hub should pay encode
 // work ONCE per flush regardless of observer count — bytes_encoded must
 // grow sub-linearly (in practice: stay flat) in N while bytes_sent grows
-// linearly. The legacy baseline re-encodes per observer, so its encoded
-// bytes grow linearly — that difference is the whole point of the hub.
+// linearly.
 //
 // Usage: spectator_scaling [frames] [--json PATH]
 // Emits "rtct.bench.v1" JSON (validated in CI by rtct_trace --check) and
@@ -45,114 +43,58 @@ struct ScalePoint {
   std::uint64_t hub_bytes_sent = 0;
   std::uint64_t hub_feed_encodes = 0;
   std::uint64_t hub_snapshot_encodes = 0;
-  double legacy_serve_ms = 0;     ///< same drill through N SpectatorHosts
-  std::uint64_t legacy_bytes_encoded = 0;
 };
 
 InputWord input_for(int f) { return static_cast<InputWord>((f * 2654435761u) & 0xFFFF); }
 
-/// Shared drill: warm the machine, join everyone, serve the snapshot, then
+/// The drill: warm the machine, join everyone, serve the snapshot, then
 /// `frames` live frames with a serve + cumulative-ack round every
-/// kFlushEvery frames. Both implementations see the identical schedule.
+/// kFlushEvery frames.
 ScalePoint run_point(int n, int frames) {
   ScalePoint p;
   p.observers = n;
   std::vector<std::uint8_t> scratch;
+  auto m = cores::make_game("duel");
+  core::SpectatorBroadcastHub hub(m->content_id(), core::SyncConfig{});
+  std::vector<core::SpectatorBroadcastHub::ObserverId> ids;
+  ids.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) ids.push_back(hub.add_observer());
+  for (int f = 0; f < kWarmFrames; ++f) m->step_frame(input_for(f));
 
-  // --- hub ---
-  {
-    auto m = cores::make_game("duel");
-    core::SpectatorBroadcastHub hub(m->content_id(), core::SyncConfig{});
-    std::vector<core::SpectatorBroadcastHub::ObserverId> ids;
-    ids.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) ids.push_back(hub.add_observer());
-    for (int f = 0; f < kWarmFrames; ++f) m->step_frame(input_for(f));
+  std::int64_t total = 0;
+  Time now = 0;
+  std::int64_t t0 = now_ns();
+  for (auto id : ids) {
+    hub.ingest(id, core::Message{core::JoinRequestMsg{m->content_id()}});
+  }
+  if (hub.wants_snapshot() && m->frame() > 0) {
+    m->save_state_into(scratch);
+    hub.provide_snapshot(m->frame() - 1, scratch);
+  }
+  for (auto id : ids) (void)hub.make_message(id, now);
+  for (auto id : ids) {
+    hub.ingest(id, core::Message{core::FeedAckMsg{m->frame() - 1}});
+  }
+  total += now_ns() - t0;
 
-    std::int64_t total = 0;
-    Time now = 0;
-    std::int64_t t0 = now_ns();
-    for (auto id : ids) {
-      hub.ingest(id, core::Message{core::JoinRequestMsg{m->content_id()}});
-    }
-    if (hub.wants_snapshot() && m->frame() > 0) {
-      m->save_state_into(scratch);
-      hub.provide_snapshot(m->frame() - 1, scratch);
-    }
-    for (auto id : ids) (void)hub.make_message(id, now);
-    for (auto id : ids) {
-      hub.ingest(id, core::Message{core::FeedAckMsg{m->frame() - 1}});
+  for (int f = 0; f < frames; ++f) {
+    m->step_frame(input_for(kWarmFrames + f));
+    const FrameNo fr = m->frame() - 1;
+    t0 = now_ns();
+    hub.on_frame(fr, input_for(kWarmFrames + f));
+    if ((f + 1) % kFlushEvery == 0 || f + 1 == frames) {
+      now += 1'000'000;
+      for (auto id : ids) (void)hub.make_message(id, now);
+      for (auto id : ids) hub.ingest(id, core::Message{core::FeedAckMsg{fr}});
     }
     total += now_ns() - t0;
-
-    for (int f = 0; f < frames; ++f) {
-      m->step_frame(input_for(kWarmFrames + f));
-      const FrameNo fr = m->frame() - 1;
-      t0 = now_ns();
-      hub.on_frame(fr, input_for(kWarmFrames + f));
-      if ((f + 1) % kFlushEvery == 0 || f + 1 == frames) {
-        now += 1'000'000;
-        for (auto id : ids) (void)hub.make_message(id, now);
-        for (auto id : ids) hub.ingest(id, core::Message{core::FeedAckMsg{fr}});
-      }
-      total += now_ns() - t0;
-    }
-    p.hub_serve_ms = static_cast<double>(total) / 1e6;
-    const core::SpectatorHubStats& s = hub.stats();
-    p.hub_bytes_encoded = s.bytes_encoded;
-    p.hub_bytes_sent = s.bytes_sent;
-    p.hub_feed_encodes = s.feed_encodes;
-    p.hub_snapshot_encodes = s.snapshot_encodes;
   }
-
-  // --- legacy: one SpectatorHost per observer ---
-  {
-    auto m = cores::make_game("duel");
-    std::vector<core::SpectatorHost> hosts;
-    hosts.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      hosts.emplace_back(m->content_id(), core::SyncConfig{});
-    }
-    for (int f = 0; f < kWarmFrames; ++f) m->step_frame(input_for(f));
-
-    std::int64_t total = 0;
-    std::uint64_t bytes = 0;
-    Time now = 0;
-    std::vector<std::uint8_t> wire;
-    std::int64_t t0 = now_ns();
-    for (auto& h : hosts) {
-      h.ingest(core::Message{core::JoinRequestMsg{m->content_id()}});
-      if (h.wants_snapshot() && m->frame() > 0) {
-        m->save_state_into(scratch);
-        h.provide_snapshot(m->frame() - 1, scratch);
-      }
-      if (auto msg = h.make_message(now)) {
-        core::encode_message_into(*msg, wire);
-        bytes += wire.size();
-      }
-      h.ingest(core::Message{core::FeedAckMsg{m->frame() - 1}});
-    }
-    total += now_ns() - t0;
-
-    for (int f = 0; f < frames; ++f) {
-      m->step_frame(input_for(kWarmFrames + f));
-      const FrameNo fr = m->frame() - 1;
-      t0 = now_ns();
-      for (auto& h : hosts) h.on_frame(fr, input_for(kWarmFrames + f));
-      if ((f + 1) % kFlushEvery == 0 || f + 1 == frames) {
-        now += 1'000'000;
-        for (auto& h : hosts) {
-          if (auto msg = h.make_message(now)) {
-            core::encode_message_into(*msg, wire);
-            bytes += wire.size();
-          }
-          h.ingest(core::Message{core::FeedAckMsg{fr}});
-        }
-      }
-      total += now_ns() - t0;
-    }
-    p.legacy_serve_ms = static_cast<double>(total) / 1e6;
-    p.legacy_bytes_encoded = bytes;
-  }
+  p.hub_serve_ms = static_cast<double>(total) / 1e6;
+  const core::SpectatorHubStats& s = hub.stats();
+  p.hub_bytes_encoded = s.bytes_encoded;
+  p.hub_bytes_sent = s.bytes_sent;
+  p.hub_feed_encodes = s.feed_encodes;
+  p.hub_snapshot_encodes = s.snapshot_encodes;
   return p;
 }
 
@@ -171,17 +113,15 @@ int main(int argc, char** argv) {
 
   const int counts[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   std::vector<ScalePoint> points;
-  std::printf("=== SPEC-SCALE: broadcast hub vs per-observer hosts (%d frames) ===\n\n",
-              frames);
-  std::printf("%9s %14s %16s %14s %16s %18s\n", "observers", "hub serve ms",
-              "hub enc bytes", "hub sent bytes", "legacy serve ms", "legacy enc bytes");
+  std::printf("=== SPEC-SCALE: broadcast hub fan-out (%d frames) ===\n\n", frames);
+  std::printf("%9s %14s %16s %14s\n", "observers", "hub serve ms", "hub enc bytes",
+              "hub sent bytes");
   for (int n : counts) {
     points.push_back(run_point(n, frames));
     const ScalePoint& p = points.back();
-    std::printf("%9d %14.2f %16llu %14llu %16.2f %18llu\n", p.observers, p.hub_serve_ms,
+    std::printf("%9d %14.2f %16llu %14llu\n", p.observers, p.hub_serve_ms,
                 static_cast<unsigned long long>(p.hub_bytes_encoded),
-                static_cast<unsigned long long>(p.hub_bytes_sent), p.legacy_serve_ms,
-                static_cast<unsigned long long>(p.legacy_bytes_encoded));
+                static_cast<unsigned long long>(p.hub_bytes_sent));
   }
 
   JsonWriter w;
@@ -208,9 +148,6 @@ int main(int argc, char** argv) {
   series("hub_feed_encodes", [](const ScalePoint& p) { return p.hub_feed_encodes; });
   series("hub_snapshot_encodes",
          [](const ScalePoint& p) { return p.hub_snapshot_encodes; });
-  series("legacy_serve_ms", [](const ScalePoint& p) { return p.legacy_serve_ms; });
-  series("legacy_bytes_encoded",
-         [](const ScalePoint& p) { return p.legacy_bytes_encoded; });
   w.end_object();
   w.end_object();
 

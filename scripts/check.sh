@@ -47,17 +47,17 @@ echo "==> portable-dispatch leg (RTCT_THREADED_DISPATCH=OFF: switch backend)"
 # switch one honest with a dedicated build running the CPU + differential
 # suites. Correctness only — the perf gates run on computed-goto builds
 # (the sanitized full suite above, and plain ctest for absolute numbers).
-# golden_digest_test pins every game's v1/v3 digest chains, so this leg
-# proves the switch backend produces the same digests as the others;
-# golden_timeline_test pins whole testbed timelines, which embed state
-# digests, so the switch backend must reproduce those too.
+# golden_digest_test pins every game's v1/v3 digest chains and snapshot
+# bytes, so this leg proves the switch backend produces the same state as
+# the others; golden_timeline_test pins whole testbed timelines, which
+# embed state digests, so the switch backend must reproduce those too.
+# The one list below feeds both the build targets and the ctest filter.
+portable_tests=(cpu_test cpu_property_test machine_test games_test emu_differential_test
+                cores_test agent86_test agent86_determinism_test golden_digest_test
+                golden_timeline_test)
 cmake -B build-portable -S . -DRTCT_THREADED_DISPATCH=OFF >/dev/null
-cmake --build build-portable -j "$(nproc)" --target \
-      cpu_test cpu_property_test machine_test games_test emu_differential_test \
-      cores_test agent86_test agent86_determinism_test golden_digest_test \
-      golden_timeline_test
-ctest --test-dir build-portable \
-      -R "cpu_test|cpu_property_test|machine_test|games_test|emu_differential_test|cores_test|agent86_test|agent86_determinism_test|golden_digest_test|golden_timeline_test" \
+cmake --build build-portable -j "$(nproc)" --target "${portable_tests[@]}"
+ctest --test-dir build-portable -R "^($(IFS='|'; echo "${portable_tests[*]}"))\$" \
       --output-on-failure
 
 echo "==> rollback latency bench (lockstep-vs-rollback acceptance gate)"

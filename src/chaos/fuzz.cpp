@@ -654,7 +654,9 @@ std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations) {
   cfg.buf_frames = 4;
   core::SyncPeer peer(0, cfg);
   core::SessionControl session(0, /*rom_checksum=*/1, cfg);
-  core::SpectatorHost host(/*content_id=*/7, cfg);
+  core::SpectatorBroadcastHub hub(/*content_id=*/7, cfg);
+  const core::SpectatorBroadcastHub::ObserverId observers[] = {hub.add_observer(),
+                                                               hub.add_observer()};
   games::CellWarsGame replica;
   core::SpectatorClient client(replica, cfg);
 
@@ -669,7 +671,7 @@ std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations) {
       // The decoder accepted it, so every state machine must survive it —
       // this is exactly the deployed trust boundary.
       session.ingest(*decoded, now);
-      host.ingest(*decoded);
+      hub.ingest(observers[i % 2], *decoded, now);
       client.ingest(*decoded);
       if (const auto* sync = std::get_if<SyncMsg>(&*decoded)) {
         peer.ingest(*sync, now);
@@ -681,12 +683,12 @@ std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations) {
     ++local_frame;
     while (peer.ready()) peer.pop();
     (void)peer.make_message(1, now);
-    if (host.wants_snapshot()) {
+    if (hub.wants_snapshot()) {
       static constexpr std::uint8_t kTinyState[] = {0x01, 0x02};
-      host.provide_snapshot(static_cast<FrameNo>(i), kTinyState);
+      hub.provide_snapshot(static_cast<FrameNo>(i), kTinyState);
     }
-    host.on_frame(static_cast<FrameNo>(i), static_cast<InputWord>(rng.next_u64()));
-    (void)host.make_message(now);
+    hub.on_frame(static_cast<FrameNo>(i), static_cast<InputWord>(rng.next_u64()));
+    for (const auto id : observers) (void)hub.make_message(id, now);
     (void)client.make_message(now);
     (void)client.step_available();
   }

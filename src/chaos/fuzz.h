@@ -8,7 +8,7 @@
 //   2. anything decode *does* accept must re-encode canonically (decode ∘
 //      encode is the identity on accepted messages);
 //   3. accepted messages must be safe to feed into SyncPeer /
-//      SessionControl / SpectatorHost / SpectatorClient — the decoder is
+//      SessionControl / SpectatorBroadcastHub / SpectatorClient — the decoder is
 //      the trust boundary, so the state machines are fuzzed only through
 //      it, exactly as in production.
 // All randomness comes from one seeded Rng; every failure is reproducible
@@ -78,8 +78,8 @@ std::optional<std::string> fuzz_wire(std::uint64_t seed, int iterations,
 
 /// Fuzzes the protocol state machines through the decoder trust boundary:
 /// mutated buffers that survive decoding are fed into a driven SyncPeer,
-/// SessionControl, SpectatorHost and SpectatorClient. Sanitizers (ASan/
-/// UBSan) turn any memory or overflow bug into a failure; this function
+/// SessionControl, a two-observer SpectatorBroadcastHub and a
+/// SpectatorClient. Sanitizers (ASan/UBSan) turn any memory or overflow bug into a failure; this function
 /// additionally drives the peers forward so ingested state is exercised,
 /// not just stored. Returns the first failure, or nullopt.
 std::optional<std::string> fuzz_ingest(std::uint64_t seed, int iterations);

@@ -7,79 +7,6 @@
 
 namespace rtct::core {
 
-// ---- SpectatorHost ----------------------------------------------------------
-
-void SpectatorHost::on_frame(FrameNo frame, InputWord merged) {
-  last_executed_ = frame;
-  if (!snapshot_.has_value()) return;  // nobody watching yet
-  const FrameNo expected = backlog_base_ + static_cast<FrameNo>(backlog_.size());
-  if (frame == expected) {
-    backlog_.push_back(merged);
-  }
-  // frame < expected: duplicate driver call, ignore. frame > expected can
-  // not happen for a driver that reports every executed frame in order.
-}
-
-void SpectatorHost::ingest(const Message& msg) {
-  if (const auto* join = std::get_if<JoinRequestMsg>(&msg)) {
-    if (join->content_id != content_id_) return;  // wrong game, not ours
-    ++stats_.join_requests_rcvd;
-    if (!snapshot_.has_value()) wants_snapshot_ = true;
-    // A re-request while we already hold a snapshot just means our
-    // snapshot datagram was lost; make_message keeps resending it.
-    return;
-  }
-  if (const auto* ack = std::get_if<FeedAckMsg>(&msg)) {
-    ++stats_.acks_rcvd;
-    if (ack->frame <= acked_frame_) return;
-    acked_frame_ = ack->frame;
-    if (snapshot_.has_value() && acked_frame_ >= snapshot_->frame) snapshot_acked_ = true;
-    while (!backlog_.empty() && backlog_base_ <= acked_frame_) {
-      backlog_.pop_front();
-      ++backlog_base_;
-    }
-  }
-}
-
-void SpectatorHost::provide_snapshot(FrameNo frame, std::span<const std::uint8_t> state) {
-  if (!snapshot_.has_value()) snapshot_.emplace();
-  snapshot_->frame = frame;
-  snapshot_->state.assign(state.begin(), state.end());  // reuses capacity
-  snapshot_acked_ = false;
-  wants_snapshot_ = false;
-  backlog_base_ = frame + 1;
-  backlog_.clear();
-}
-
-std::optional<Message> SpectatorHost::make_message(Time /*now*/) {
-  if (!snapshot_.has_value()) return std::nullopt;
-  if (!snapshot_acked_) {
-    ++stats_.snapshots_sent;
-    return Message{*snapshot_};  // resend until acked
-  }
-
-  if (backlog_.empty()) return std::nullopt;
-  InputFeedMsg feed;
-  feed.first_frame = backlog_base_;
-  const auto count =
-      std::min<std::size_t>(backlog_.size(), static_cast<std::size_t>(cfg_.max_inputs_per_message));
-  feed.inputs.assign(backlog_.begin(), backlog_.begin() + static_cast<std::ptrdiff_t>(count));
-  ++stats_.feed_messages_sent;
-  stats_.inputs_fed += feed.inputs.size();
-  return Message{feed};
-}
-
-void SpectatorHost::export_metrics(MetricsRegistry& reg) const {
-  reg.counter("spectator.host.join_requests_rcvd").set(stats_.join_requests_rcvd);
-  reg.counter("spectator.host.snapshots_sent").set(stats_.snapshots_sent);
-  reg.counter("spectator.host.feed_messages_sent").set(stats_.feed_messages_sent);
-  reg.counter("spectator.host.inputs_fed").set(stats_.inputs_fed);
-  reg.counter("spectator.host.acks_rcvd").set(stats_.acks_rcvd);
-  reg.gauge("spectator.host.joined").set(observer_joined() ? 1 : 0);
-  reg.gauge("spectator.host.acked_frame").set(static_cast<double>(acked_frame_));
-  reg.gauge("spectator.host.backlog").set(static_cast<double>(backlog_.size()));
-}
-
 // ---- SpectatorBroadcastHub --------------------------------------------------
 
 void SpectatorBroadcastHub::InputRing::clear(FrameNo new_base) {

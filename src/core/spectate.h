@@ -33,15 +33,6 @@ class MetricsRegistry;  // src/common/telemetry.h
 
 namespace rtct::core {
 
-/// Feed-protocol counters, host side.
-struct SpectatorHostStats {
-  std::uint64_t join_requests_rcvd = 0;
-  std::uint64_t snapshots_sent = 0;
-  std::uint64_t feed_messages_sent = 0;
-  std::uint64_t inputs_fed = 0;  ///< input entries across all feed messages
-  std::uint64_t acks_rcvd = 0;
-};
-
 /// Feed-protocol counters, observer side.
 struct SpectatorClientStats {
   std::uint64_t join_requests_sent = 0;
@@ -49,60 +40,6 @@ struct SpectatorClientStats {
   std::uint64_t feed_messages_rcvd = 0;
   std::uint64_t stale_inputs_rcvd = 0;  ///< entries at/below applied_frame
   std::uint64_t acks_sent = 0;
-};
-
-/// Runs beside a playing site (typically the master). Records every
-/// executed frame's merged input; serves one or more observers.
-/// For presentation simplicity this implementation tracks a single
-/// observer endpoint (one host instance per observer — they are cheap).
-class SpectatorHost {
- public:
-  SpectatorHost(std::uint64_t content_id, SyncConfig cfg)
-      : content_id_(content_id), cfg_(cfg) {}
-
-  /// Driver calls this after every Transition with the frame just
-  /// executed (0-based) and its merged input word.
-  void on_frame(FrameNo frame, InputWord merged);
-
-  /// Feeds a received observer message (JoinRequest / FeedAck).
-  void ingest(const Message& msg);
-
-  /// True when a join was accepted and the driver must supply the current
-  /// machine snapshot via provide_snapshot().
-  [[nodiscard]] bool wants_snapshot() const { return wants_snapshot_; }
-
-  /// `frame` is the last executed frame (machine.frame() - 1); `state` is
-  /// the machine state taken at that point (save_state_into a reused
-  /// scratch buffer on the hot path — the host copies what it keeps).
-  void provide_snapshot(FrameNo frame, std::span<const std::uint8_t> state);
-
-  /// Next outbound message for the observer: the snapshot until acked,
-  /// then unacked feed windows. nullopt = nothing to send.
-  std::optional<Message> make_message(Time now);
-
-  [[nodiscard]] bool observer_joined() const { return snapshot_.has_value(); }
-  [[nodiscard]] FrameNo acked_frame() const { return acked_frame_; }
-  [[nodiscard]] std::size_t backlog_size() const { return backlog_.size(); }
-  [[nodiscard]] const SpectatorHostStats& stats() const { return stats_; }
-
-  /// Snapshots feed-serving state into the registry ("spectator.host.*").
-  void export_metrics(MetricsRegistry& reg) const;
-
- private:
-  std::uint64_t content_id_;
-  SyncConfig cfg_;
-
-  bool wants_snapshot_ = false;
-  std::optional<SnapshotMsg> snapshot_;
-  bool snapshot_acked_ = false;
-
-  FrameNo backlog_base_ = 0;          ///< frame number of backlog_[0]
-  std::deque<InputWord> backlog_;     ///< merged inputs after the snapshot
-  /// Observer's cumulative ack. Starts below any valid ack value: a
-  /// pre-game snapshot is taken at frame -1 and its ack must still count.
-  FrameNo acked_frame_ = -2;
-  FrameNo last_executed_ = -1;
-  SpectatorHostStats stats_;
 };
 
 /// Feed-protocol counters, hub side. The bytes_encoded / bytes_sent pair is
@@ -124,8 +61,9 @@ struct SpectatorHubStats {
   std::uint64_t observers_idle_removed = 0;  ///< subset removed by remove_idle
 };
 
-/// Multi-observer broadcast hub: the scaling replacement for running one
-/// SpectatorHost per observer. All observers share ONE backlog ring of
+/// Multi-observer broadcast hub, the host side of the feed protocol; it
+/// runs beside a playing site (typically the master). All observers share
+/// ONE backlog ring of
 /// merged inputs and ONE wire-encoded snapshot; each observer is just a
 /// cumulative-ack cursor into the shared ring. Every outbound payload
 /// (snapshot or feed window) is encoded exactly once and handed out as a
@@ -133,10 +71,8 @@ struct SpectatorHubStats {
 /// snapshot copies and O(distinct cursors) encodes per flush — per-client
 /// fan-out cost is what lock-step broadcast lives or dies by.
 ///
-/// Wire-compatible with SpectatorClient: an observer cannot tell whether a
-/// hub or a dedicated host serves it. One behavioural refinement makes
-/// that true: an observer that has ever acked is served exclusively from
-/// the feed ring — never a (newer) snapshot, which a joined client would
+/// An observer that has ever acked is served exclusively from the feed
+/// ring — never a (newer) snapshot, which a joined client would
 /// ignore-but-ack forever — so the ring is trimmed to
 /// min(snapshot frame, every acked cursor).
 class SpectatorBroadcastHub {

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "src/common/bytes.h"
-#include "src/common/hash.h"
 #include "src/emu/fill_loop.h"
 
 // Threaded (computed-goto) dispatch is a GNU extension; CMake defines
@@ -24,15 +22,15 @@ constexpr std::size_t kDebugLogCap = 4096;
 }  // namespace
 
 Agent86Machine::Agent86Machine(Program program, MachineConfig cfg)
-    : program_(std::move(program)), checksum_(program_.checksum()), cfg_(cfg),
-      mem_(std::make_unique_for_overwrite<std::uint8_t[]>(kMemSize)), predecode_(PredecodedProgram::shared(program_)) {
+    : program_(std::move(program)), cfg_(cfg), state_(program_.checksum(), 0),
+      predecode_(PredecodedProgram::shared(program_)) {
   reset();
 }
 
 void Agent86Machine::reset() {
-  std::fill_n(mem_.get(), kMemSize, 0);
+  state_.clear();
   const std::size_t limit = std::min(program_.image.size(), kMemSize - program_.org);
-  std::copy_n(program_.image.begin(), limit, mem_.get() + program_.org);
+  std::copy_n(program_.image.begin(), limit, state_.mem() + program_.org);
   for (auto& r : regs_) r = 0;
   regs_[SP] = kInitialSp;
   ip_ = program_.entry;
@@ -42,7 +40,6 @@ void Agent86Machine::reset() {
   frame_ = 0;
   last_frame_cycles_ = 0;
   debug_log_.clear();
-  pages_.mark_all_dirty();
   code_valid_ = predecode_->image_pages();
 }
 
@@ -63,7 +60,7 @@ int Agent86Machine::run_frame(int cycle_budget) {
   int cycles = 0;
 
   const auto fetch8 = [&]() -> std::uint8_t {
-    const std::uint8_t v = mem_[ip_];
+    const std::uint8_t v = state_.mem()[ip_];
     ip_ = static_cast<std::uint16_t>(ip_ + 1);
     return v;
   };
@@ -170,7 +167,7 @@ int Agent86Machine::run_frame(int cycle_budget) {
         const std::uint8_t d = rr >> 4, base = rr & 15;
         if (!reg_ok(d) || !reg_ok(base)) return cycles;
         const auto addr = static_cast<std::uint16_t>(regs_[base] + disp);
-        regs_[d] = (op == kLdB) ? mem_[addr] : read16(addr);
+        regs_[d] = (op == kLdB) ? state_.mem()[addr] : read16(addr);
         cycles += 3;
         break;
       }
@@ -356,7 +353,7 @@ int Agent86Machine::run_frame(int cycle_budget) {
 // fetched, so ip has moved past it; PUSH SP pushes the SP from before the
 // push; fetch wraps at 0xFFFF.
 int Agent86Machine::run_frame_fast(int cycle_budget) {
-  std::uint8_t* const mem = mem_.get();
+  std::uint8_t* const mem = state_.mem();
   const Decoded* const table = predecode_->entries();
   // One byte per page for this run: the fetch tests it every instruction
   // and a store sets it unconditionally, so neither waits on a bitmap.
@@ -751,7 +748,7 @@ done:
   sf_ = sf;
   cf_ = cf;
   fault_ = fault;
-  std::uint64_t* const dirty = pages_.dirty_bitmap();
+  std::uint64_t* const dirty = state_.dirty_bitmap();
   for (std::size_t p = 0; p < std::size(page_state); p += 8) {
     std::uint64_t eight;  // skip runs of eight pages none of which was stored to
     std::memcpy(&eight, page_state + p, sizeof eight);
@@ -781,65 +778,19 @@ done:
 #undef A86_JCC
 }
 
-std::uint64_t Agent86Machine::state_hash() const {
-  Fnv1a64 h;
-  visit_header(h);
-  h.update(std::span<const std::uint8_t>(mem_.get(), kMemSize));
-  return h.digest();
-}
-
-std::uint64_t Agent86Machine::state_digest(int version) const {
-  if (version <= 1) return state_hash();
-  return pages_.digest(mem_.get(), [this](auto& h) { visit_header(h); });
-}
-
-std::vector<std::uint64_t> Agent86Machine::page_digests() const {
-  const auto digests = pages_.refresh(mem_.get());
-  return {digests.begin(), digests.end()};
-}
-
-std::vector<std::uint8_t> Agent86Machine::save_state() const {
-  std::vector<std::uint8_t> out;
-  save_state_into(out);
-  return out;
-}
-
-void Agent86Machine::save_state_into(std::vector<std::uint8_t>& out) const {
-  if (out.capacity() < 64 + kMemSize) out.reserve(64 + kMemSize);
-  ByteWriter w(std::move(out));
-  w.u8(kStateVersion);
-  w.u64(checksum_);
-  visit_header(w);
-  w.bytes(std::span<const std::uint8_t>(mem_.get(), kMemSize));
-  out = w.take();
-}
-
 bool Agent86Machine::load_state(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  if (r.u8() != kStateVersion) return false;
-  if (r.u64() != checksum_) return false;  // snapshot from another game
-
-  std::uint16_t regs[kNumRegs];
-  for (auto& reg : regs) reg = r.u16();
-  const std::uint16_t ip = r.u16();
-  const std::uint8_t flags = r.u8();
-  const std::uint8_t fault = r.u8();
-  const std::uint16_t tone = r.u16();
-  const auto frame = static_cast<FrameNo>(r.u64());
-  const auto ram = r.bytes(kMemSize);
-  if (!r.ok() || !r.at_end()) return false;
-  // save_state only ever writes ZF/SF/CF and a Fault enumerator.
-  if (fault > static_cast<std::uint8_t>(Fault::kBudgetExceeded) || flags > 7) return false;
-
-  std::copy(std::begin(regs), std::end(regs), std::begin(regs_));
-  ip_ = ip;
-  zf_ = (flags & 1) != 0;
-  sf_ = (flags & 2) != 0;
-  cf_ = (flags & 4) != 0;
-  fault_ = static_cast<Fault>(fault);
-  tone_ = tone;
-  frame_ = frame;
-  predecode_->revalidate(pages_.restore(mem_.get(), ram), mem_.get(), code_valid_);
+  Header h{};
+  const auto written = state_.load(data, h);
+  if (!written) return false;
+  std::copy(std::begin(h.regs), std::end(h.regs), std::begin(regs_));
+  ip_ = h.ip;
+  zf_ = (h.flags & 1) != 0;
+  sf_ = (h.flags & 2) != 0;
+  cf_ = (h.flags & 4) != 0;
+  fault_ = static_cast<Fault>(h.fault);
+  tone_ = h.tone;
+  frame_ = static_cast<FrameNo>(h.frame);
+  predecode_->revalidate(*written, state_.mem(), code_valid_);
   debug_log_.clear();
   return true;
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -24,7 +25,7 @@
 #include "src/cores/agent86/isa.h"
 #include "src/cores/agent86/predecode.h"
 #include "src/emu/game.h"
-#include "src/emu/page_digest.h"
+#include "src/emu/paged_state.h"
 
 namespace rtct::a86 {
 
@@ -48,15 +49,25 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   // IDeterministicGame
   void reset() override;
   void step_frame(InputWord input) override;
-  [[nodiscard]] std::uint64_t state_hash() const override;
-  [[nodiscard]] std::uint64_t state_digest(int version) const override;
-  [[nodiscard]] std::vector<std::uint64_t> page_digests() const override;
+  [[nodiscard]] std::uint64_t state_hash() const override { return state_digest(1); }
+  [[nodiscard]] std::uint64_t state_digest(int version) const override {
+    return state_.digest(header(), version);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> page_digests() const override {
+    return state_.page_digests();
+  }
   [[nodiscard]] std::uint32_t page_digest_base() const override { return 0; }
-  [[nodiscard]] std::vector<std::uint8_t> save_state() const override;
-  void save_state_into(std::vector<std::uint8_t>& out) const override;
+  [[nodiscard]] std::vector<std::uint8_t> save_state() const override {
+    std::vector<std::uint8_t> out;
+    save_state_into(out);
+    return out;
+  }
+  void save_state_into(std::vector<std::uint8_t>& out) const override {
+    state_.save_into(header(), out);
+  }
   bool load_state(std::span<const std::uint8_t> data) override;
   [[nodiscard]] FrameNo frame() const override { return frame_; }
-  [[nodiscard]] std::uint64_t content_id() const override { return checksum_; }
+  [[nodiscard]] std::uint64_t content_id() const override { return state_.content_id(); }
   [[nodiscard]] std::string content_name() const override {
     return "agent86:" + program_.name;
   }
@@ -67,7 +78,7 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   [[nodiscard]] int fb_cols() const override { return kFbCols; }
   [[nodiscard]] int fb_rows() const override { return kFbRows; }
   [[nodiscard]] std::span<const std::uint8_t> framebuffer() const override {
-    return {mem_.get() + kVideoBase, kFbSize};
+    return {state_.mem() + kVideoBase, kFbSize};
   }
 
   // Introspection (tests, tools, benches).
@@ -83,18 +94,13 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   /// divergence-injection tooling only — a poked replica is desynced by
   /// construction, which is what the bisector tests want).
   void poke(std::uint16_t addr, std::uint8_t v) { write8(addr, v); }
-  [[nodiscard]] std::uint8_t peek(std::uint16_t addr) const { return mem_[addr]; }
-  [[nodiscard]] std::uint16_t peek16(std::uint16_t addr) const {
-    return static_cast<std::uint16_t>(mem_[addr] |
-                                      (mem_[static_cast<std::uint16_t>(addr + 1)] << 8));
-  }
+  [[nodiscard]] std::uint8_t peek(std::uint16_t addr) const { return state_.mem()[addr]; }
+  [[nodiscard]] std::uint16_t peek16(std::uint16_t addr) const { return read16(addr); }
 
  private:
-  static constexpr std::uint8_t kStateVersion = 1;
-
   void write8(std::uint16_t addr, std::uint8_t v) {
-    mem_[addr] = v;
-    pages_.mark_dirty(addr);
+    state_.mem()[addr] = v;
+    state_.mark_dirty(addr);
     code_valid_[addr >> 14] &= ~(1ull << ((addr >> emu::kPageShift) & 63));
   }
   void write16(std::uint16_t addr, std::uint16_t v) {
@@ -102,8 +108,9 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
     write8(static_cast<std::uint16_t>(addr + 1), static_cast<std::uint8_t>(v >> 8));
   }
   [[nodiscard]] std::uint16_t read16(std::uint16_t addr) const {
-    return static_cast<std::uint16_t>(mem_[addr] |
-                                      (mem_[static_cast<std::uint16_t>(addr + 1)] << 8));
+    const std::uint8_t* mem = state_.mem();
+    return static_cast<std::uint16_t>(mem[addr] |
+                                      (mem[static_cast<std::uint16_t>(addr + 1)] << 8));
   }
 
   /// Runs until HLT, a fault, or the cycle budget. Returns cycles used.
@@ -112,22 +119,42 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   /// The same contract on the fast path (see machine.cpp).
   int run_frame_fast(int cycle_budget);
 
-  /// Everything but memory, in hash/digest/snapshot order.
-  template <typename Sink>
-  void visit_header(Sink&& sink) const {
-    for (const auto r : regs_) sink.u16(r);
-    sink.u16(ip_);
-    sink.u8(static_cast<std::uint8_t>((zf_ ? 1 : 0) | (sf_ ? 2 : 0) | (cf_ ? 4 : 0)));
-    sink.u8(static_cast<std::uint8_t>(fault_));
-    sink.u16(tone_);
-    sink.u64(static_cast<std::uint64_t>(frame_));
+  /// Everything but memory, as PagedState hashes, digests and snapshots it.
+  struct Header {
+    std::uint16_t regs[kNumRegs];
+    std::uint16_t ip;
+    std::uint8_t flags;  ///< ZF | SF << 1 | CF << 2
+    std::uint8_t fault;  ///< a Fault enumerator
+    std::uint16_t tone;
+    std::uint64_t frame;
+
+    template <typename H, typename Sink>
+    static void visit(H& h, Sink&& sink) {
+      for (auto& r : h.regs) sink.u16(r);
+      sink.u16(h.ip);
+      sink.u8(h.flags);
+      sink.u8(h.fault);
+      sink.u16(h.tone);
+      sink.u64(h.frame);
+    }
+    /// save_state only ever writes ZF/SF/CF and a Fault enumerator.
+    [[nodiscard]] bool valid() const {
+      return fault <= static_cast<std::uint8_t>(Fault::kBudgetExceeded) && flags <= 7;
+    }
+  };
+  [[nodiscard]] Header header() const {
+    Header h{{}, ip_, static_cast<std::uint8_t>((zf_ ? 1 : 0) | (sf_ ? 2 : 0) | (cf_ ? 4 : 0)),
+             static_cast<std::uint8_t>(fault_), tone_, static_cast<std::uint64_t>(frame_)};
+    std::memcpy(h.regs, regs_, sizeof h.regs);
+    return h;
   }
 
   Program program_;
-  std::uint64_t checksum_;  ///< cached Program::checksum()
   MachineConfig cfg_;
-  /// Full flat 64 KiB, allocated unfilled: reset() zeroes it.
-  std::unique_ptr<std::uint8_t[]> mem_;
+  /// The flat 64 KiB, all of it mutable, with the digest cache and the
+  /// snapshot framing (page 0 of page_digests() is address 0x0000); the
+  /// content id is Program::checksum(), hashed once.
+  emu::PagedState state_;
   std::uint16_t regs_[kNumRegs] = {};
   std::uint16_t ip_ = 0;
   bool zf_ = false, sf_ = false, cf_ = false;
@@ -143,10 +170,6 @@ class Agent86Machine final : public emu::IDeterministicGame, public emu::IRender
   /// entries for it are current. Cleared by write8; recomputed by
   /// load_state for the pages the restore wrote.
   PredecodedProgram::PageBits code_valid_{};
-
-  // Incremental-digest cache over the whole 64 KiB (no immutable region,
-  // so page 0 of page_digests() is address 0x0000).
-  mutable emu::PageDigestCache pages_{kMemSize / emu::kPageSize};
 };
 
 }  // namespace rtct::a86

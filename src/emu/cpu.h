@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "src/emu/isa.h"
 
@@ -81,20 +82,20 @@ class Cpu {
   [[nodiscard]] bool flag_n() const { return n_; }
   [[nodiscard]] bool flag_c() const { return c_; }
 
-  // State serialization hooks (ArcadeMachine save/load/hash).
-  template <typename Sink>
-  void visit_state(Sink&& sink) const {
-    for (auto r : regs_) sink.u16(r);
-    sink.u16(pc_);
-    sink.u8(static_cast<std::uint8_t>((z_ ? 1 : 0) | (n_ ? 2 : 0) | (c_ ? 4 : 0)));
-    sink.u8(static_cast<std::uint8_t>(fault_));
-  }
+  /// The synchronized CPU state, as ArcadeMachine's snapshot header
+  /// carries it.
   struct RawState {
     std::uint16_t regs[kNumRegs];
     std::uint16_t pc;
-    std::uint8_t flags;
-    std::uint8_t fault;
+    std::uint8_t flags;  ///< Z | N << 1 | C << 2
+    std::uint8_t fault;  ///< a Fault enumerator
   };
+  [[nodiscard]] RawState raw_state() const {
+    RawState s{{}, pc_, static_cast<std::uint8_t>((z_ ? 1 : 0) | (n_ ? 2 : 0) | (c_ ? 4 : 0)),
+               static_cast<std::uint8_t>(fault_)};
+    std::memcpy(s.regs, regs_, sizeof s.regs);
+    return s;
+  }
   void restore(const RawState& s);
 
  private:

@@ -11,14 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/emu/cpu.h"
 #include "src/emu/game.h"
-#include "src/emu/page_digest.h"
+#include "src/emu/paged_state.h"
 #include "src/emu/rom.h"
 
 namespace rtct::emu {
@@ -52,15 +51,25 @@ class ArcadeMachine final : public IDeterministicGame,
   // IDeterministicGame
   void reset() override;
   void step_frame(InputWord input) override;
-  [[nodiscard]] std::uint64_t state_hash() const override;
-  [[nodiscard]] std::uint64_t state_digest(int version) const override;
-  [[nodiscard]] std::vector<std::uint64_t> page_digests() const override;
+  [[nodiscard]] std::uint64_t state_hash() const override { return state_digest(1); }
+  [[nodiscard]] std::uint64_t state_digest(int version) const override {
+    return state_.digest(header(), version);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> page_digests() const override {
+    return state_.page_digests();
+  }
   [[nodiscard]] std::uint32_t page_digest_base() const override { return kRamBase; }
-  [[nodiscard]] std::vector<std::uint8_t> save_state() const override;
-  void save_state_into(std::vector<std::uint8_t>& out) const override;
+  [[nodiscard]] std::vector<std::uint8_t> save_state() const override {
+    std::vector<std::uint8_t> out;
+    save_state_into(out);
+    return out;
+  }
+  void save_state_into(std::vector<std::uint8_t>& out) const override {
+    state_.save_into(header(), out);
+  }
   bool load_state(std::span<const std::uint8_t> data) override;
   [[nodiscard]] FrameNo frame() const override { return frame_; }
-  [[nodiscard]] std::uint64_t content_id() const override { return content_id_; }
+  [[nodiscard]] std::uint64_t content_id() const override { return state_.content_id(); }
   [[nodiscard]] std::string content_name() const override { return "ac16:" + rom_.title; }
   [[nodiscard]] bool faulted() const override { return cpu_.fault() != Fault::kNone; }
   [[nodiscard]] const IRenderableGame* renderable() const override { return this; }
@@ -69,7 +78,7 @@ class ArcadeMachine final : public IDeterministicGame,
   [[nodiscard]] int fb_cols() const override { return kFbCols; }
   [[nodiscard]] int fb_rows() const override { return kFbRows; }
   [[nodiscard]] std::span<const std::uint8_t> framebuffer() const override {
-    return {mem_.get() + kFbBase, kFbSize};
+    return {state_.mem() + kFbBase, kFbSize};
   }
 
   // Introspection (rendering, tests, examples).
@@ -86,10 +95,11 @@ class ArcadeMachine final : public IDeterministicGame,
   void poke(std::uint16_t addr, std::uint8_t v) { (void)write8(addr, v); }
 
   /// Raw memory peek for tests (any address, including ROM).
-  [[nodiscard]] std::uint8_t peek(std::uint16_t addr) const { return mem_[addr]; }
+  [[nodiscard]] std::uint8_t peek(std::uint16_t addr) const { return state_.mem()[addr]; }
   [[nodiscard]] std::uint16_t peek16(std::uint16_t addr) const {
-    return static_cast<std::uint16_t>(mem_[addr] |
-                                      (mem_[static_cast<std::uint16_t>(addr + 1)] << 8));
+    const std::uint8_t* mem = state_.mem();
+    return static_cast<std::uint16_t>(mem[addr] |
+                                      (mem[static_cast<std::uint16_t>(addr + 1)] << 8));
   }
 
   /// Values written to Port::kDebug this frame-run (diagnostic only; not
@@ -98,47 +108,58 @@ class ArcadeMachine final : public IDeterministicGame,
 
  private:
   // Bus
-  std::uint8_t read8(std::uint16_t addr) override { return mem_[addr]; }
+  std::uint8_t read8(std::uint16_t addr) override { return state_.mem()[addr]; }
   bool write8(std::uint16_t addr, std::uint8_t v) override {
     if (addr < kRamBase) return false;  // ROM region
-    mem_[addr] = v;
-    pages_.mark_dirty(addr - kRamBase);
+    state_.mem()[addr] = v;
+    state_.mark_dirty(addr);
     return true;
   }
   std::uint16_t in_port(std::uint8_t port) override;
   void out_port(std::uint8_t port, std::uint16_t v) override;
 
-  static constexpr std::uint8_t kStateVersion = 1;
+  /// Everything but memory, as PagedState hashes, digests and snapshots it.
+  struct Header {
+    Cpu::RawState cpu;
+    std::uint16_t input_latch;
+    std::uint16_t tone;
+    std::uint64_t frame;
 
-  /// Everything but memory, in hash/digest/snapshot order.
-  template <typename Sink>
-  void visit_header(Sink&& sink) const {
-    cpu_.visit_state(sink);
-    sink.u16(input_latch_);
-    sink.u16(tone_);
-    sink.u64(static_cast<std::uint64_t>(frame_));
+    template <typename H, typename Sink>
+    static void visit(H& h, Sink&& sink) {
+      for (auto& r : h.cpu.regs) sink.u16(r);
+      sink.u16(h.cpu.pc);
+      sink.u8(h.cpu.flags);
+      sink.u8(h.cpu.fault);
+      sink.u16(h.input_latch);
+      sink.u16(h.tone);
+      sink.u64(h.frame);
+    }
+    /// save_state only ever writes Z/N/C and a Fault enumerator.
+    [[nodiscard]] bool valid() const {
+      return cpu.fault <= static_cast<std::uint8_t>(Fault::kBrk) && cpu.flags <= 7;
+    }
+  };
+  [[nodiscard]] Header header() const {
+    return {cpu_.raw_state(), input_latch_, tone_, static_cast<std::uint64_t>(frame_)};
   }
 
   Rom rom_;
-  /// rom_.checksum(), hashed once: every snapshot saved or loaded carries it.
-  std::uint64_t content_id_;
   /// Decode-once instruction cache of the (immutable) ROM image; never
   /// invalidated because CPU stores below kRamBase fault and load_state
   /// only restores RAM.
   PredecodedRom predecode_;
   MachineConfig cfg_;
   Cpu cpu_;
-  /// Full 64 KiB address space, allocated unfilled: reset() zeroes it.
-  std::unique_ptr<std::uint8_t[]> mem_;
+  /// The 64 KiB address space, with the digest cache and the snapshot
+  /// framing over its mutable region (RAM + framebuffer); the content id
+  /// is rom_.checksum(), hashed once.
+  PagedState state_;
   InputWord input_latch_ = 0;      ///< latched at frame start
   std::uint16_t tone_ = 0;
   FrameNo frame_ = 0;
   int last_frame_cycles_ = 0;
   std::vector<std::uint16_t> debug_log_;
-
-  // Incremental-digest cache over the mutable region, dirtied by write8
-  // and refreshed lazily inside the (const) digest call, hence mutable.
-  mutable PageDigestCache pages_{kNumMutablePages};
 };
 
 }  // namespace rtct::emu

@@ -1,9 +1,11 @@
 // The GameCore registry: qualified-name resolution, the core/game
 // catalogue, render access without downcasting, and — the paper's §2
 // "same game image" rule made cross-core — the regression that two sites
-// loading the *same game name* on *different cores* refuse to pair.
+// loading the *same game name* on *different cores* refuse to pair. Also
+// the hostile-snapshot contract both paged cores share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,8 +16,9 @@
 #include "src/core/replay.h"
 #include "src/core/session.h"
 #include "src/cores/agent86/isa.h"
-#include "src/emu/isa.h"
 #include "src/cores/registry.h"
+#include "src/emu/cpu.h"
+#include "src/emu/isa.h"
 #include "src/emu/game.h"
 #include "src/testbed/experiment.h"
 
@@ -308,6 +311,90 @@ TEST(Agent86BisectTest, MutatedKeyframeNamesRealPageAddress) {
   EXPECT_EQ(rep.pages[0].addr, static_cast<std::uint32_t>(kPage * emu::kPageSize));
   EXPECT_NE(rep.pages[0].digest_a, rep.pages[0].digest_b);
 }
+
+// ---- hostile snapshots ----------------------------------------------------
+// Both paged cores load snapshots through one framing (emu::PagedState).
+// Every malformed snapshot is refused before the machine is touched; the
+// top values save_state can write still load.
+
+struct PagedCore {
+  const char* prefix;
+  std::size_t flags_at;  ///< version(1) + content id(8) + registers + pc/ip(2)
+  std::uint8_t top_fault;
+};
+constexpr PagedCore kPagedCores[] = {
+    {"ac16:", 9 + 2 * emu::kNumRegs + 2, static_cast<std::uint8_t>(emu::Fault::kBrk)},
+    {"agent86:", 9 + 2 * a86::kNumRegs + 2,
+     static_cast<std::uint8_t>(a86::Fault::kBudgetExceeded)},
+};
+
+std::vector<std::string> paged_games() {
+  std::vector<std::string> names;
+  for (const auto& e : list_games()) {
+    if (e.core == "ac16" || e.core == "agent86") names.push_back(e.qualified());
+  }
+  return names;
+}
+
+class HostileSnapshotTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HostileSnapshotTest, RejectedUntouchedAndTopValidValuesLoad) {
+  const std::string& name = GetParam();
+  const PagedCore* core = nullptr;
+  for (const auto& c : kPagedCores) {
+    if (name.starts_with(c.prefix)) core = &c;
+  }
+  ASSERT_NE(core, nullptr);
+  const std::size_t flags_at = core->flags_at;
+  const std::size_t fault_at = flags_at + 1;
+
+  auto g = make_game(name);
+  Rng rng(8);
+  for (int i = 0; i < 3; ++i) g->step_frame(static_cast<InputWord>(rng.next_u64()));
+  const auto old_snap = g->save_state();
+  for (int i = 0; i < 3; ++i) g->step_frame(static_cast<InputWord>(rng.next_u64()));
+  const auto before = g->save_state();
+  const auto digest = g->state_digest(emu::kStateDigestVersion);
+  ASSERT_NE(old_snap, before);
+
+  const auto edited = [&old_snap](auto&& edit) {
+    auto snap = old_snap;
+    edit(snap);
+    return snap;
+  };
+  const std::pair<const char*, std::vector<std::uint8_t>> bad[] = {
+      {"wrong version", edited([](auto& s) { s[0] ^= 0xFF; })},
+      {"wrong content id", edited([](auto& s) { s[3] ^= 0x01; })},
+      {"one byte short", edited([](auto& s) { s.pop_back(); })},
+      {"half the bytes", edited([](auto& s) { s.resize(s.size() / 2); })},
+      {"one byte long", edited([](auto& s) { s.push_back(0); })},
+      {"fault one past the top enumerator",
+       edited([&](auto& s) { s[fault_at] = static_cast<std::uint8_t>(core->top_fault + 1); })},
+      {"flags bit 3", edited([&](auto& s) { s[flags_at] |= 0x08; })},
+  };
+  for (const auto& [what, snap] : bad) {
+    EXPECT_FALSE(g->load_state(snap)) << what;
+    EXPECT_EQ(g->save_state(), before) << what;
+    EXPECT_EQ(g->state_digest(emu::kStateDigestVersion), digest) << what;
+  }
+
+  const auto top = edited([&](auto& s) {
+    s[fault_at] = core->top_fault;
+    s[flags_at] = 0x07;
+  });
+  ASSERT_TRUE(g->load_state(top));
+  EXPECT_TRUE(g->faulted());
+  EXPECT_EQ(g->save_state(), top);
+  ASSERT_TRUE(g->load_state(old_snap));  // and the machine is still usable
+  EXPECT_EQ(g->save_state(), old_snap);
+}
+
+INSTANTIATE_TEST_SUITE_P(PagedCores, HostileSnapshotTest, ::testing::ValuesIn(paged_games()),
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
+                           std::replace(n.begin(), n.end(), ':', '_');
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace rtct::cores

@@ -1,9 +1,10 @@
 // Tests for the spectator / late-join extension (journal-version feature).
 //
 // A "session" machine plays torture (maximally divergence-sensitive) while
-// a SpectatorHost records its merged inputs; a SpectatorClient joins late
-// across a hand-rolled lossy channel and must converge to bit-identical
-// state.
+// a SpectatorBroadcastHub records its merged inputs; SpectatorClients join
+// late across a hand-rolled lossy channel and must converge to
+// bit-identical state. SpectateTest drives one observer, SpectateHubTest
+// several.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -15,10 +16,20 @@
 namespace rtct::core {
 namespace {
 
+/// One message from `hub` to `client`, through the wire encoding.
+void deliver(SpectatorBroadcastHub& hub, SpectatorBroadcastHub::ObserverId id,
+             SpectatorClient& client, Time now, bool drop = false) {
+  if (auto buf = hub.make_message(id, now); buf && !drop) {
+    if (auto msg = decode_message(*buf)) client.ingest(*msg);
+  }
+}
+
+/// One session, one observer served by a hub.
 struct Rig {
   std::unique_ptr<emu::ArcadeMachine> session = games::make_machine("torture");
   std::unique_ptr<emu::ArcadeMachine> replica = games::make_machine("torture");
-  SpectatorHost host{session->content_id(), SyncConfig{}};
+  SpectatorBroadcastHub host{session->content_id(), SyncConfig{}};
+  SpectatorBroadcastHub::ObserverId id = host.add_observer();
   SpectatorClient client{*replica, SyncConfig{}};
   Rng rng{77};
   FrameNo frame = 0;
@@ -41,9 +52,9 @@ struct Rig {
 
   /// One message in each direction, with optional loss.
   void exchange(Time now, bool drop_host_to_client = false, bool drop_client_to_host = false) {
-    if (auto m = client.make_message(now); m && !drop_client_to_host) host.ingest(*m);
+    if (auto m = client.make_message(now); m && !drop_client_to_host) host.ingest(id, *m, now);
     serve_snapshot_if_needed();
-    if (auto m = host.make_message(now); m && !drop_host_to_client) client.ingest(*m);
+    deliver(host, id, client, now, drop_host_to_client);
     client.step_available();
   }
 };
@@ -140,12 +151,15 @@ TEST(SpectateTest, BacklogTrimsOnAck) {
     now += milliseconds(20);
     rig.exchange(now);  // second round lets the ack land
   }
-  EXPECT_LE(rig.host.backlog_size(), 2u);  // everything acked and trimmed
+  // Everything is acked. What the hub still holds is the feed after its
+  // frame-9 snapshot (frames 10..29), kept for future joiners.
+  EXPECT_GE(rig.host.acked_frame(rig.id), rig.frame - 2);
+  EXPECT_EQ(rig.host.backlog_size(), 20u);
 }
 
 TEST(SpectateTest, WrongGameJoinIgnored) {
   Rig rig;
-  rig.host.ingest(Message{JoinRequestMsg{rig.session->content_id() + 1}});
+  rig.host.ingest(rig.id, Message{JoinRequestMsg{rig.session->content_id() + 1}});
   EXPECT_FALSE(rig.host.wants_snapshot());
 }
 
@@ -182,7 +196,7 @@ TEST(SpectateTest, JoinDuringHandshakeNeverYieldsPreFrameZeroSnapshot) {
   Time now = 0;
   rig.exchange(now);  // join arrives pre-frame-0
   EXPECT_TRUE(rig.host.wants_snapshot());
-  EXPECT_FALSE(rig.host.observer_joined());
+  EXPECT_FALSE(rig.host.observer_joined(rig.id));
   EXPECT_FALSE(rig.client.joined());
 
   rig.play_one_frame();
@@ -208,9 +222,9 @@ TEST(SpectateTest, ClientRejectsPreFrameZeroSnapshot) {
 }
 
 TEST(SpectateTest, ChurnRejoinAfterLeaveConverges) {
-  // Leave/rejoin churn: a second observer lifecycle on a fresh host port
-  // (one host instance per observer, as the drivers do) must converge
-  // mid-session just like the first.
+  // Leave/rejoin churn: a second observer lifecycle on a fresh
+  // one-observer hub started mid-session must converge just like the
+  // first.
   Rig rig;
   Time now = 0;
   for (int i = 0; i < 50; ++i) rig.play_one_frame();
@@ -218,7 +232,8 @@ TEST(SpectateTest, ChurnRejoinAfterLeaveConverges) {
   ASSERT_TRUE(rig.client.joined());  // first observer lifecycle ends here
 
   auto replica2 = games::make_machine("torture");
-  SpectatorHost host2(rig.session->content_id(), SyncConfig{});
+  SpectatorBroadcastHub host2(rig.session->content_id(), SyncConfig{});
+  const auto id2 = host2.add_observer(now);
   SpectatorClient client2(*replica2, SyncConfig{});
   for (int i = 0; i < 25; ++i) {
     const auto input = rig.play_one_frame();
@@ -227,11 +242,11 @@ TEST(SpectateTest, ChurnRejoinAfterLeaveConverges) {
   for (int round = 0; round < 40 && client2.applied_frame() < rig.frame - 1;
        ++round) {
     now += milliseconds(60);
-    if (auto m = client2.make_message(now)) host2.ingest(*m);
+    if (auto m = client2.make_message(now)) host2.ingest(id2, *m, now);
     if (host2.wants_snapshot() && rig.session->frame() > 0) {
       host2.provide_snapshot(rig.session->frame() - 1, rig.session->save_state());
     }
-    if (auto m = host2.make_message(now)) client2.ingest(*m);
+    deliver(host2, id2, client2, now);
     client2.step_available();
   }
   ASSERT_TRUE(client2.joined());
@@ -257,8 +272,7 @@ TEST(SpectateTest, RandomizedLossyChannelProperty) {
 
 // ---- SpectatorBroadcastHub -------------------------------------------------
 
-/// N unmodified SpectatorClients against ONE hub — the fan-out replacement
-/// for one-host-per-observer. Clients must not be able to tell.
+/// N unmodified SpectatorClients against ONE hub.
 struct HubRig {
   std::unique_ptr<emu::ArcadeMachine> session = games::make_machine("torture");
   SpectatorBroadcastHub hub{session->content_id(), SyncConfig{}};
@@ -306,11 +320,7 @@ struct HubRig {
     }
     serve_snapshot_if_needed();
     for (auto& o : obs) {
-      if (auto buf = hub.make_message(o.id, now)) {
-        if (net == nullptr || !net->bernoulli(loss)) {
-          if (auto msg = decode_message(*buf)) o.client->ingest(*msg);
-        }
-      }
+      deliver(hub, o.id, *o.client, now, net != nullptr && net->bernoulli(loss));
       o.client->step_available();
     }
   }
@@ -500,9 +510,7 @@ TEST(SpectateHubTest, IdleReaperUnpinsSlowestReaderTrim) {
     rig.play_one_frame();
     now += milliseconds(20);
     if (auto m = rig.obs[1].client->make_message(now)) rig.hub.ingest(live, *m, now);
-    if (auto buf = rig.hub.make_message(live, now)) {
-      if (auto msg = decode_message(*buf)) rig.obs[1].client->ingest(*msg);
-    }
+    deliver(rig.hub, live, *rig.obs[1].client, now);
     rig.obs[1].client->step_available();
   }
   EXPECT_GT(rig.hub.backlog_size(), 550u) << "pinned cursor must defeat the cap";
