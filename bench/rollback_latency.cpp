@@ -49,6 +49,8 @@ struct ModeResult {
   bool converged = false;
   std::uint64_t rollbacks = 0;
   std::uint64_t mispredicted = 0;
+  std::uint64_t snapshots_saved = 0;  ///< restore points saved, genesis included
+  int snapshot_buffers = 0;           ///< peak snapshot pool size
 };
 
 ModeResult run_mode(ExperimentConfig cfg, Dur rtt, bool rollback) {
@@ -68,6 +70,8 @@ ModeResult run_mode(ExperimentConfig cfg, Dur rtt, bool rollback) {
                 r.site[1].rollback_mode == rollback;
   m.rollbacks = r.site[0].rollback_stats.rollbacks;
   m.mispredicted = r.site[0].rollback_stats.mispredicted_frames;
+  m.snapshots_saved = r.site[0].rollback_stats.snapshots_saved;
+  m.snapshot_buffers = r.site[0].rollback_stats.snapshot_buffers;
   return m;
 }
 
@@ -167,6 +171,8 @@ int main(int argc, char** argv) {
     series("rollback_avg_ft_ms", [](const Point& p) { return p.rollback.avg_ft_ms; });
     series("rollbacks", [](const Point& p) { return p.rollback.rollbacks; });
     series("mispredicted_frames", [](const Point& p) { return p.rollback.mispredicted; });
+    series("snapshots_saved", [](const Point& p) { return p.rollback.snapshots_saved; });
+    series("snapshot_buffers", [](const Point& p) { return p.rollback.snapshot_buffers; });
     series("converged", [](const Point& p) {
       return static_cast<std::uint64_t>(p.lockstep.converged && p.rollback.converged);
     });

@@ -66,13 +66,15 @@ struct SyncConfig {
   /// delays its own input by `rollback_input_delay` frames (not
   /// `buf_frames`), predicts the remote input by holding its last known
   /// value, executes speculatively, and on misprediction restores the
-  /// last confirmed snapshot and re-simulates.
+  /// state before the first mispredicted frame and re-simulates.
   bool rollback = false;
   /// Local input delay in frames under rollback — the perceived input
   /// latency, fixed and independent of RTT (that is the whole point).
   int rollback_input_delay = 2;
-  /// Snapshot ring capacity in frames; bounds how far execution may run
-  /// ahead of the confirmed watermark (speculation depth <= window - 2).
+  /// Bounds how far execution may run ahead of the confirmed watermark
+  /// (speculation depth <= window - 2). It does not size the snapshots:
+  /// only frames executed with a predicted input save the state before
+  /// them, into a pool of at most executed - confirmed + 1 buffers.
   int rollback_window = 32;
 
   // ---- adaptive sync transport (all off by default: the paper's fixed-

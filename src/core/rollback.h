@@ -12,20 +12,22 @@
 //   * the remote input for a not-yet-received frame is *predicted* by
 //     holding its last known value (arcade inputs are runs of identical
 //     words, so hold-last is right most of the time);
-//   * every executed frame's machine state is snapshotted into a fixed
-//     ring (save_state_into reuses each slot's buffer, no allocation in
-//     steady state; traced at ~3 µs per 64 KiB agent86 snapshot);
 //   * when an actual remote input arrives and disagrees with what was
 //     used, the session restores the snapshot *before* the first
 //     mispredicted frame and re-simulates forward with the corrected
-//     inputs (using actuals where known, hold-last elsewhere).
+//     inputs (using actuals where known, hold-last elsewhere);
+//   * only those restore points are saved: just before a frame executes
+//     with a predicted input, the state after the previous frame goes
+//     into a buffer from a small LIFO pool, unless its slot holds it
+//     already. A slot's buffer is freed when its frame re-executes or its
+//     successor is confirmed, so the pool stays at executed - confirmed + 1.
 //
 // A frame becomes *confirmed* once it has executed with the actual remote
 // input; confirmed frames are final — their merged inputs and v3 digests
 // are the session's canonical history (what replays record, spectators
 // see, and the desync tripwire compares). Speculation depth is bounded by
-// the ring: execution may run at most `rollback_window - 2` frames past
-// the confirmed watermark, which keeps the restore target resident.
+// `rollback_window`: execution may run at most `rollback_window - 2`
+// frames past the confirmed watermark.
 //
 // Transport: RollbackSession owns none. It borrows the driver's SyncPeer
 // — the same Algorithm-2 state machine lockstep uses, so the SYNC traffic
@@ -63,6 +65,8 @@ struct RollbackStats {
   std::uint64_t predicted_frames = 0;    ///< executed with a predicted remote input
   std::uint64_t mispredicted_frames = 0; ///< prediction later proved wrong
   int max_rollback_depth = 0;            ///< deepest single restore, in frames
+  std::uint64_t snapshots_saved = 0;     ///< save_state_into calls, genesis included
+  int snapshot_buffers = 0;              ///< peak size of the snapshot buffer pool
 };
 
 class RollbackSession {
@@ -76,9 +80,9 @@ class RollbackSession {
   /// any frame.
   RollbackSession(SyncPeer& peer, emu::IDeterministicGame& game, SyncConfig cfg);
 
-  /// False when speculation has reached the ring bound (executing one more
-  /// frame would evict the restore target); the driver must then drain the
-  /// network and reconcile() until the confirmed watermark advances.
+  /// False when speculation has reached the `rollback_window` bound; the
+  /// driver must then drain the network and reconcile() until the
+  /// confirmed watermark advances.
   [[nodiscard]] bool can_advance() const {
     return executed_ - confirmed_ < static_cast<FrameNo>(window_) - 1;
   }
@@ -86,7 +90,7 @@ class RollbackSession {
   /// One frame of Algorithm-1 work under rollback: submits the local
   /// input for frame `current_frame() + delay` to the peer, reconciles any
   /// newly arrived remote inputs (rolling back if a prediction proved
-  /// wrong), then executes the next frame speculatively and snapshots it.
+  /// wrong), then executes the next frame speculatively.
   /// Returns the frame's speculative digest. Pre: can_advance().
   std::uint64_t advance_frame(InputWord local_input);
 
@@ -112,11 +116,9 @@ class RollbackSession {
   /// Machine state after the newest confirmed frame. Late-joining
   /// spectators must be seeded from this — the live machine state is
   /// speculative and may yet be rolled back. Pre: confirmed_frames() > 0.
-  /// (The slot is always resident: can_advance() caps speculation at
-  /// window - 2 frames past the watermark.)
-  [[nodiscard]] std::span<const std::uint8_t> confirmed_state() const {
-    return slot(confirmed_ - 1).state;
-  }
+  /// Saves the live state first when nothing is in flight. The span is
+  /// valid until the next call that executes or confirms a frame.
+  [[nodiscard]] std::span<const std::uint8_t> confirmed_state();
 
   // ---- observability ------------------------------------------------------
   [[nodiscard]] int input_delay() const { return delay_; }
@@ -127,8 +129,7 @@ class RollbackSession {
 
  private:
   struct Slot {
-    FrameNo frame = -1;
-    std::vector<std::uint8_t> state;  ///< machine state after `frame`
+    int buf = -1;               ///< pool_ index of the state after this frame, or -1
     std::uint64_t digest = 0;
     InputWord merged = 0;       ///< full input word the frame executed with
     InputWord remote_used = 0;  ///< the remote partials inside `merged`
@@ -146,19 +147,23 @@ class RollbackSession {
     return f == 0 ? InputWord{0} : slot(f - 1).remote_used;
   }
 
-  void execute_frame(FrameNo f);            ///< step + snapshot into slot(f)
+  void execute_frame(FrameNo f);            ///< save the restore point if predicted, step
   void rollback_and_resim(FrameNo from);    ///< restore before `from`, re-run
   void restore_state_after(FrameNo f);      ///< f == -1 restores genesis
   void advance_confirmed();                 ///< promote actual-input frames
+  void save_live_state_after(FrameNo f);    ///< into slot(f), unless it holds it
+  void release(Slot& s);                    ///< its buffer back to the free list
 
   SyncPeer& peer_;
   emu::IDeterministicGame& game_;
   SyncConfig cfg_;
   int delay_;    ///< local input delay in frames
-  int window_;   ///< snapshot ring capacity
+  int window_;   ///< slot ring capacity; bounds speculation
 
   std::vector<Slot> ring_;
   std::vector<std::uint8_t> genesis_;  ///< state before frame 0
+  std::vector<std::vector<std::uint8_t>> pool_;  ///< snapshot buffers
+  std::vector<int> free_;                        ///< free pool_ indices, LIFO
 
   FrameNo executed_ = 0;   ///< next frame to execute
   FrameNo confirmed_ = 0;  ///< next frame to confirm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/common/telemetry.h"
 
@@ -75,12 +76,14 @@ std::optional<Message> SessionControl::poll(Time now) {
       s.buf_frames = static_cast<std::uint16_t>(negotiated_buf_);
     }
     ++starts_sent_;
-    return Message{s};
+    // Built in place, as in SpectatorClient::make_message: moving a
+    // temporary Message makes GCC's sanitize build warn.
+    return std::optional<Message>(std::in_place, std::in_place_type<StartMsg>, s);
   }
   if (state_ == SessionState::kConnecting && now >= next_hello_) {
     next_hello_ = now + hello_interval_;
     ++hellos_sent_;
-    return Message{my_hello(now)};
+    return std::optional<Message>(std::in_place, std::in_place_type<HelloMsg>, my_hello(now));
   }
   return std::nullopt;
 }

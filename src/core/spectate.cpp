@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/common/telemetry.h"
 
@@ -254,7 +255,10 @@ std::optional<Message> SpectatorClient::make_message(Time now) {
     if (now < next_join_) return std::nullopt;
     next_join_ = now + milliseconds(50);
     ++stats_.join_requests_sent;
-    return Message{JoinRequestMsg{game_.content_id()}};
+    // Built in place: moving a temporary Message into the optional makes
+    // GCC's sanitize build report -Wmaybe-uninitialized on every alternative.
+    return std::optional<Message>(std::in_place, std::in_place_type<JoinRequestMsg>,
+                                  JoinRequestMsg{game_.content_id()});
   }
   if (ack_dirty_ || now >= next_keepalive_) {
     // Keepalive: a caught-up observer re-acks its position periodically so
@@ -263,7 +267,8 @@ std::optional<Message> SpectatorClient::make_message(Time now) {
     ack_dirty_ = false;
     next_keepalive_ = now + kKeepaliveInterval;
     ++stats_.acks_sent;
-    return Message{FeedAckMsg{applied_frame_}};
+    return std::optional<Message>(std::in_place, std::in_place_type<FeedAckMsg>,
+                                  FeedAckMsg{applied_frame_});
   }
   return std::nullopt;
 }

@@ -10,18 +10,24 @@
 //     two sites AND equal to a straight-line replica that never rolled
 //     back (the tentpole invariant, checked here at unit granularity);
 //   * hold-last prediction never rolls back while inputs are constant;
-//   * speculation is bounded by the snapshot ring and resumes after
+//   * speculation is bounded by rollback_window and resumes after
 //     confirmation catches up;
 //   * go-back-N retransmission survives loss, duplication and reordering;
 //   * the hash tripwire flags a forged state hash at the exact frame;
 //   * confirmed_state() is a loadable snapshot of the confirmed frontier;
-//   * a SYNC naming a site outside the session touches nothing.
+//   * a SYNC naming a site outside the session touches nothing;
+//   * the session saves exactly the restore points a rollback can use
+//     (one per predicted execution), into a pool no larger than the
+//     speculation span plus one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <utility>
+#include <vector>
 
+#include "src/common/telemetry.h"
 #include "src/core/rollback.h"
 #include "src/games/cellwars.h"
 
@@ -37,6 +43,45 @@ SyncConfig rollback_cfg(int delay = 2, int window = 16) {
   return cfg;
 }
 
+/// A cellwars game that counts the session's snapshot work: every
+/// save_state_into, and every step of a frame f > 0 whose remote input
+/// `peer` does not hold yet (a predicted execution, which must save the
+/// state before it).
+class CountingGame final : public emu::IDeterministicGame {
+ public:
+  explicit CountingGame(const SyncPeer& peer) : peer_(peer), inner_(games::make_cellwars()) {}
+
+  void reset() override { inner_->reset(); }
+  void step_frame(InputWord input) override {
+    const FrameNo f = inner_->frame();
+    if (f > 0 && !peer_.remote_input(f)) ++predicted_steps;
+    inner_->step_frame(input);
+  }
+  [[nodiscard]] std::uint64_t state_hash() const override { return inner_->state_hash(); }
+  [[nodiscard]] std::uint64_t state_digest(int version) const override {
+    return inner_->state_digest(version);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> save_state() const override {
+    return inner_->save_state();
+  }
+  void save_state_into(std::vector<std::uint8_t>& out) const override {
+    ++saves;
+    inner_->save_state_into(out);
+  }
+  bool load_state(std::span<const std::uint8_t> data) override {
+    return inner_->load_state(data);
+  }
+  [[nodiscard]] FrameNo frame() const override { return inner_->frame(); }
+  [[nodiscard]] std::uint64_t content_id() const override { return inner_->content_id(); }
+
+  mutable std::uint64_t saves = 0;
+  std::uint64_t predicted_steps = 0;
+
+ private:
+  const SyncPeer& peer_;
+  std::unique_ptr<emu::IDeterministicGame> inner_;
+};
+
 /// Two RollbackSessions (each over its own SyncPeer) over an explicit
 /// in-order delay queue. Each step()
 /// delivers due messages, reconciles, advances one frame per site (inputs
@@ -45,12 +90,12 @@ struct Rig {
   explicit Rig(SyncConfig cfg = rollback_cfg(), Dur one_way = milliseconds(5))
       : cfg_(cfg),
         one_way_(one_way),
-        game_a_(games::make_cellwars()),
-        game_b_(games::make_cellwars()),
         pa_(0, cfg),
         pb_(1, cfg),
-        a_(pa_, *game_a_, cfg),
-        b_(pb_, *game_b_, cfg) {}
+        game_a_(pa_),
+        game_b_(pb_),
+        a_(pa_, game_a_, cfg),
+        b_(pb_, game_b_, cfg) {}
 
   void deliver_due() {
     while (!to_a_.empty() && to_a_.front().first <= now_) {
@@ -120,8 +165,8 @@ struct Rig {
   SyncConfig cfg_;
   Dur one_way_;
   Time now_ = 0;
-  std::unique_ptr<emu::IDeterministicGame> game_a_, game_b_;
   SyncPeer pa_, pb_;
+  CountingGame game_a_, game_b_;
   RollbackSession a_, b_;
   std::deque<std::pair<Time, SyncMsg>> to_a_, to_b_;
 };
@@ -168,9 +213,8 @@ TEST(RollbackSessionTest, MispredictionRollsBackToCanonicalHistory) {
 }
 
 TEST(RollbackSessionTest, SpeculationStopsAtRingBoundAndResumes) {
-  // With the network fully severed, speculation must halt exactly when
-  // executing one more frame would evict the oldest snapshot the next
-  // rollback could need — and resume once traffic confirms frames.
+  // With the network fully severed, speculation must halt exactly at the
+  // rollback_window bound — and resume once traffic confirms frames.
   Rig rig(rollback_cfg(/*delay=*/2, /*window=*/8));
   // Sever the network: step() flushes into the queues but nothing is
   // delivered until we say so.
@@ -207,6 +251,7 @@ TEST(RollbackSessionTest, SurvivesLossDuplicationAndReordering) {
   Rig rig(rollback_cfg(), milliseconds(30));
   constexpr FrameNo kFrames = 60;
   std::uint64_t counter = 0;
+  FrameNo max_lead = 0;  // deepest executed - confirmed span seen
   for (FrameNo f = 0; f < kFrames; ++f) {
     rig.now_ += milliseconds(16);
     // Mangle the pending queues before delivery: drop / duplicate.
@@ -238,6 +283,7 @@ TEST(RollbackSessionTest, SurvivesLossDuplicationAndReordering) {
     const auto pb = static_cast<std::uint8_t>((f / 6) % 2 == 0 ? 0x00 : 0x12);
     rig.a_.advance_frame(make_input(pa, 0));
     rig.b_.advance_frame(make_input(0, pb));
+    max_lead = std::max(max_lead, rig.a_.current_frame() - rig.a_.confirmed_frames());
     rig.flush();
   }
   rig.drain(kFrames);
@@ -246,6 +292,16 @@ TEST(RollbackSessionTest, SurvivesLossDuplicationAndReordering) {
   // invariant: duplicates are counted as duplicates, not stale drops).
   EXPECT_GT(rig.pa_.stats().duplicate_inputs_rcvd, 0u);
   EXPECT_EQ(rig.pa_.stats().stale_messages, 0u);
+  // The snapshot pool is sized by the speculation span, not the window.
+  const RollbackStats& st = rig.a_.rollback_stats();
+  EXPECT_GT(st.rollbacks, 0u) << "the pool bound is vacuous without rollbacks";
+  EXPECT_GT(st.snapshot_buffers, 0);
+  EXPECT_LE(st.snapshot_buffers, max_lead + 1);
+  EXPECT_EQ(st.snapshots_saved, rig.game_a_.saves);
+  MetricsRegistry reg;
+  rig.a_.export_metrics(reg);
+  EXPECT_EQ(reg.counter("rollback.snapshots_saved").value(), st.snapshots_saved);
+  EXPECT_EQ(reg.gauge("rollback.snapshot_buffers").value(), st.snapshot_buffers);
 }
 
 TEST(RollbackSessionTest, ForgedStateHashTripsDesyncAtThatFrame) {
@@ -298,6 +354,96 @@ TEST(RollbackSessionTest, ConfirmedStateIsALoadableSnapshotOfTheFrontier) {
             rig.a_.confirmed_digest(confirmed - 1));
   // And it is *not* the speculative head state.
   EXPECT_NE(probe->frame(), rig.a_.current_frame());
+}
+
+TEST(RollbackSessionTest, SavesExactlyOneRestorePointPerPredictedExecution) {
+  // Mispredictions under ~3 frames of latency force rollbacks, so the
+  // predicted executions include re-simulated ones. Each saves the state
+  // before it once; actual-input executions save nothing.
+  Rig rig(rollback_cfg(), milliseconds(50));
+  constexpr FrameNo kFrames = 80;
+  for (FrameNo f = 0; f < kFrames; ++f) {
+    const auto pa = static_cast<std::uint8_t>((f / 5) % 3 == 0 ? 0x11 : 0x02);
+    const auto pb = static_cast<std::uint8_t>((f / 7) % 2 == 0 ? 0x08 : 0x14);
+    rig.step(pa, pb);
+  }
+  rig.drain(kFrames);
+  rig.expect_canonical_history(kFrames);
+  ASSERT_GT(rig.a_.rollback_stats().frames_resimulated, 0u);
+  const CountingGame& game = rig.game_a_;
+  // One save for genesis, one per predicted execution past frame 0.
+  EXPECT_EQ(game.saves, 1 + game.predicted_steps);
+  EXPECT_EQ(rig.a_.rollback_stats().snapshots_saved, game.saves);
+
+  // Nothing in flight: confirmed_state() saves the live state once.
+  ASSERT_EQ(rig.a_.current_frame(), rig.a_.confirmed_frames());
+  const std::vector<std::uint8_t> confirmed(rig.a_.confirmed_state().begin(),
+                                            rig.a_.confirmed_state().end());
+  EXPECT_EQ(game.saves, 2 + game.predicted_steps);
+  EXPECT_EQ(confirmed, game.save_state());
+  auto probe = games::make_cellwars();
+  ASSERT_TRUE(probe->load_state(confirmed));
+  EXPECT_EQ(probe->state_digest(emu::kStateDigestVersion),
+            rig.a_.confirmed_digest(kFrames - 1));
+  (void)rig.a_.confirmed_state();
+  EXPECT_EQ(game.saves, 2 + game.predicted_steps) << "a second call saves nothing";
+}
+
+TEST(RollbackSessionTest, RollbackPastAnUnverifiedGapRestoresAndConverges) {
+  // The remote inputs for frames [delay, kGap) are lost while a later
+  // window arrives and contradicts the prediction: the first wrong frame
+  // lies past frames still unverified, so its restore point is one saved
+  // when it first ran predicted. The gap then arrives, contradicting too,
+  // and rolls back to the oldest restore point.
+  const SyncConfig cfg = rollback_cfg(/*delay=*/2, /*window=*/16);
+  SyncPeer peer(0, cfg);
+  CountingGame game(peer);
+  RollbackSession s(peer, game, cfg);
+  constexpr FrameNo kFrames = 12;
+  constexpr FrameNo kGap = 6;
+  for (FrameNo f = 0; f < kFrames; ++f) s.advance_frame(make_input(0x01, 0));
+  ASSERT_EQ(s.confirmed_frames(), 2) << "only frames [0, delay) self-confirm";
+  auto deliver = [&](FrameNo first, FrameNo count, std::uint8_t buttons) {
+    SyncMsg m;
+    m.site = 1;
+    m.ack_frame = -1;
+    m.first_frame = first;
+    m.inputs.assign(static_cast<std::size_t>(count), make_input(0, buttons));
+    peer.ingest(m, 0);
+    s.reconcile();
+  };
+
+  deliver(kGap, 4, 0x12);
+  EXPECT_EQ(s.rollback_stats().rollbacks, 1u);
+  EXPECT_EQ(s.rollback_stats().max_rollback_depth, kFrames - kGap);
+  EXPECT_EQ(s.confirmed_frames(), 2) << "the gap is still unverified";
+  deliver(2, kGap - 2, 0x08);
+  EXPECT_EQ(s.rollback_stats().rollbacks, 2u);
+  EXPECT_EQ(s.rollback_stats().max_rollback_depth, kFrames - 2);
+  deliver(kGap + 4, kFrames - kGap - 4, 0x12);
+  ASSERT_EQ(s.confirmed_frames(), kFrames);
+  EXPECT_FALSE(peer.desync_detected());
+  EXPECT_EQ(game.saves, 1 + game.predicted_steps);
+
+  auto twin = games::make_cellwars();
+  for (FrameNo f = 0; f < kFrames; ++f) {
+    const std::uint8_t remote = f < 2 ? 0 : f < kGap ? 0x08 : 0x12;
+    const InputWord merged = f < 2 ? InputWord{0} : make_input(0x01, remote);
+    ASSERT_EQ(s.confirmed_input(f), merged) << "frame " << f;
+    twin->step_frame(merged);
+    ASSERT_EQ(s.confirmed_digest(f), twin->state_digest(emu::kStateDigestVersion))
+        << "frame " << f;
+  }
+
+  // Nothing in flight: confirmed_state() saves the live state, and the
+  // next frame, which runs predicted, keeps that save as its restore point.
+  ASSERT_FALSE(s.confirmed_state().empty());
+  const std::uint64_t saves = game.saves;
+  EXPECT_EQ(saves, 2 + game.predicted_steps);
+  s.advance_frame(make_input(0x01, 0));
+  EXPECT_EQ(game.saves, saves);
+  EXPECT_EQ(game.saves, 1 + game.predicted_steps);
+  EXPECT_EQ(s.rollback_stats().snapshots_saved, game.saves);
 }
 
 TEST(RollbackSessionTest, WindowClampGuaranteesRoomOverInputDelay) {

@@ -191,9 +191,9 @@ int main(int argc, char** argv) {
   if (mode == "rollback") {
     cfg.sync.rollback = true;
     if (input_delay >= 0) {
-      // The snapshot ring holds rollback_window states; speculation may run
-      // at most window-2 frames past the confirmed watermark, so a larger
-      // input delay could never be absorbed — it would stall every frame.
+      // Speculation may run at most rollback_window-2 frames past the
+      // confirmed watermark, so a larger input delay could never be
+      // absorbed — it would stall every frame.
       const int max_delay = cfg.sync.rollback_window - 2;
       if (input_delay > max_delay) {
         std::fprintf(stderr,
