@@ -51,10 +51,12 @@ echo "==> portable-dispatch leg (RTCT_THREADED_DISPATCH=OFF: switch backend)"
 # bytes, so this leg proves the switch backend produces the same state as
 # the others; golden_timeline_test pins whole testbed timelines, which
 # embed state digests, so the switch backend must reproduce those too.
+# alloc_test pins heap allocations per steady frame exactly; running it
+# here too makes the default, sanitize and portable legs hold one count.
 # The one list below feeds both the build targets and the ctest filter.
 portable_tests=(cpu_test cpu_property_test machine_test games_test emu_differential_test
                 cores_test agent86_test agent86_determinism_test golden_digest_test
-                golden_timeline_test)
+                golden_timeline_test alloc_test)
 cmake -B build-portable -S . -DRTCT_THREADED_DISPATCH=OFF >/dev/null
 cmake --build build-portable -j "$(nproc)" --target "${portable_tests[@]}"
 ctest --test-dir build-portable -R "^($(IFS='|'; echo "${portable_tests[*]}"))\$" \

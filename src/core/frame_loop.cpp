@@ -191,16 +191,15 @@ bool FrameLoop::tail_settled() const {
 }
 
 void FrameLoop::on_datagram(std::span<const std::uint8_t> payload, Time now) {
-  const auto msg = decode_message(payload);
-  if (!msg) return;  // malformed datagram: drop, UDP-style
-  if (const auto* sync = std::get_if<SyncMsg>(&*msg)) {
+  if (!decode_message_into(payload, msg_in_)) return;  // malformed: drop, UDP-style
+  if (const auto* sync = std::get_if<SyncMsg>(&msg_in_)) {
     if (handshake_) session_.note_sync_traffic(now);
     if (started()) {
       adopt_session();
       peer_.ingest(*sync, now);
     }
   } else if (handshake_) {
-    session_.ingest(*msg, now);
+    session_.ingest(msg_in_, now);
   }
 }
 
@@ -215,9 +214,8 @@ std::optional<std::span<const std::uint8_t>> FrameLoop::session_datagram(Time no
 std::optional<std::span<const std::uint8_t>> FrameLoop::sync_datagram(SiteId peer, Time now) {
   if (!started()) return std::nullopt;
   adopt_session();
-  const auto msg = peer_.make_message(peer, now);
-  if (!msg) return std::nullopt;
-  encode_message_into(Message{*msg}, wire_scratch_);
+  if (!peer_.make_message_into(peer, now, sync_out_)) return std::nullopt;
+  encode_sync_into(sync_out_, wire_scratch_);
   return wire_scratch_;
 }
 

@@ -190,6 +190,8 @@ class FrameLoop {
   // Reused buffers (no per-frame allocation).
   std::vector<std::uint8_t> wire_scratch_;
   std::vector<std::uint8_t> snapshot_scratch_;
+  SyncMsg sync_out_;  ///< the flush being encoded
+  Message msg_in_;    ///< the datagram being ingested
 };
 
 }  // namespace rtct::core

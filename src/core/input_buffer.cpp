@@ -5,17 +5,25 @@ namespace rtct::core {
 InputBuffer::Entry* InputBuffer::entry_at(FrameNo frame, bool create) {
   if (frame < base_ || frame - base_ > kMaxFrameWindow) return nullptr;
   const auto idx = static_cast<std::size_t>(frame - base_);
-  if (idx >= entries_.size()) {
+  if (idx >= count_) {
     if (!create) return nullptr;
-    entries_.resize(idx + 1);
+    if (idx >= ring_.size()) {
+      std::size_t cap = ring_.empty() ? 64 : ring_.size();
+      while (cap <= idx) cap *= 2;
+      std::vector<Entry> next(cap);
+      for (std::size_t i = 0; i < count_; ++i) next[i] = ring_[slot(i)];
+      ring_ = std::move(next);
+      head_ = 0;
+    }
+    for (; count_ <= idx; ++count_) ring_[slot(count_)] = Entry{};
   }
-  return &entries_[idx];
+  return &ring_[slot(idx)];
 }
 
 const InputBuffer::Entry* InputBuffer::entry_at(FrameNo frame) const {
   if (frame < base_) return nullptr;
   const auto idx = static_cast<std::size_t>(frame - base_);
-  return idx < entries_.size() ? &entries_[idx] : nullptr;
+  return idx < count_ ? &ring_[slot(idx)] : nullptr;
 }
 
 bool InputBuffer::put(SiteId site, FrameNo frame, InputWord partial) {
@@ -51,11 +59,12 @@ std::optional<InputWord> InputBuffer::merged(FrameNo frame) const {
 }
 
 void InputBuffer::trim_below(FrameNo frame) {
-  while (base_ < frame && !entries_.empty()) {
-    entries_.pop_front();
+  while (base_ < frame && count_ > 0) {
+    head_ = slot(1);
+    --count_;
     ++base_;
   }
-  if (entries_.empty() && base_ < frame) base_ = frame;
+  if (count_ == 0 && base_ < frame) base_ = frame;
 }
 
 }  // namespace rtct::core

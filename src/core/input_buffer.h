@@ -4,13 +4,15 @@
 // buffer of unlimited size ... for simplicity in presentation"; this
 // implementation grows on demand but reclaims delivered entries, so memory
 // stays proportional to the in-flight window (local lag + network skew).
+// The entries live in a power-of-two ring that only ever grows, so a
+// steady session stores and trims inputs without allocating.
 // Duplicate arrivals (from retransmission) are absorbed idempotently —
 // "only one copy of them will be kept in the buffer" (§3.1).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -29,7 +31,7 @@ class InputBuffer {
   /// Widest window (frames above `base()`) a put may open. Legitimate
   /// traffic never runs more than local-lag + retransmission-window ahead
   /// of the trim point (tens of frames); a forged first_frame that passes
-  /// the wire-level range check must not force an unbounded deque
+  /// the wire-level range check must not force an unbounded ring
   /// allocation here. 2^16 frames ≈ 18 minutes at 60 FPS — far beyond any
   /// real skew, cheap to reject.
   static constexpr FrameNo kMaxFrameWindow = 1 << 16;
@@ -57,7 +59,7 @@ class InputBuffer {
   void trim_below(FrameNo frame);
 
   [[nodiscard]] FrameNo base() const { return base_; }
-  [[nodiscard]] std::size_t entries_in_memory() const { return entries_.size(); }
+  [[nodiscard]] std::size_t entries_in_memory() const { return count_; }
 
  private:
   struct Entry {
@@ -67,10 +69,13 @@ class InputBuffer {
 
   Entry* entry_at(FrameNo frame, bool create);
   [[nodiscard]] const Entry* entry_at(FrameNo frame) const;
+  [[nodiscard]] std::size_t slot(std::size_t idx) const { return (head_ + idx) & (ring_.size() - 1); }
 
   int num_sites_;
-  FrameNo base_ = 0;  ///< frame number of entries_[0]
-  std::deque<Entry> entries_;
+  FrameNo base_ = 0;       ///< frame number of the entry at head_
+  std::vector<Entry> ring_;  ///< capacity a power of two (or empty)
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;  ///< entries from base_ on
 };
 
 }  // namespace rtct::core

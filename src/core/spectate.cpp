@@ -188,14 +188,12 @@ SpectatorBroadcastHub::Buffer SpectatorBroadcastHub::make_message(ObserverId id,
     }
   }
   if (bytes == nullptr) {
-    InputFeedMsg feed;
-    feed.first_frame = next;
-    feed.inputs.reserve(count);
+    feed_inputs_.clear();
     for (std::size_t i = 0; i < count; ++i) {
-      feed.inputs.push_back(ring_.at(next + static_cast<FrameNo>(i)));
+      feed_inputs_.push_back(ring_.at(next + static_cast<FrameNo>(i)));
     }
-    auto encoded = std::make_shared<std::vector<std::uint8_t>>();
-    encode_message_into(Message{std::move(feed)}, *encoded);
+    auto encoded = idle_feed_buffer();
+    encode_feed_into(next, feed_inputs_, *encoded);
     bytes = Buffer(std::move(encoded));
     feed_cache_.push_back(FeedCacheEntry{next, count, bytes});
     ++stats_.feed_encodes;
@@ -205,6 +203,18 @@ SpectatorBroadcastHub::Buffer SpectatorBroadcastHub::make_message(ObserverId id,
   stats_.inputs_fed += count;
   stats_.bytes_sent += bytes->size();
   return bytes;
+}
+
+std::shared_ptr<std::vector<std::uint8_t>> SpectatorBroadcastHub::idle_feed_buffer() {
+  // A pooled buffer that no cache entry and no caller still holds is free
+  // to re-encode, so a steady feed allocates nothing. The pool is capped:
+  // a caller that keeps every buffer gets fresh ones past the cap.
+  for (const auto& b : feed_buffers_) {
+    if (b.use_count() == 1) return b;
+  }
+  auto b = std::make_shared<std::vector<std::uint8_t>>();
+  if (feed_buffers_.size() < kMaxFeedBuffers) feed_buffers_.push_back(b);
+  return b;
 }
 
 bool SpectatorBroadcastHub::all_caught_up() const {

@@ -182,6 +182,8 @@ class SpectatorBroadcastHub {
   }
   [[nodiscard]] std::size_t max_backlog() const;
   void trim_ring();
+  /// A buffer to encode the next feed window into (see feed_buffers_).
+  std::shared_ptr<std::vector<std::uint8_t>> idle_feed_buffer();
 
   std::uint64_t content_id_;
   SyncConfig cfg_;
@@ -196,6 +198,10 @@ class SpectatorBroadcastHub {
   std::size_t active_count_ = 0;
 
   std::vector<FeedCacheEntry> feed_cache_;  ///< valid until the ring mutates
+  std::vector<InputWord> feed_inputs_;      ///< reused gather buffer for encodes
+  /// Encoded feed windows, re-encoded in place once no one holds them.
+  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> feed_buffers_;
+  static constexpr std::size_t kMaxFeedBuffers = 8;
   SpectatorHubStats stats_;
 };
 

@@ -68,8 +68,8 @@ FrameNo SyncPeer::min_acked() const {
   return lo;
 }
 
-std::optional<SyncMsg> SyncPeer::make_message(SiteId peer, Time now) {
-  if (peer < 0 || peer >= num_sites_ || peer == my_site_) return std::nullopt;
+bool SyncPeer::make_message_into(SiteId peer, Time now, SyncMsg& msg) {
+  if (peer < 0 || peer >= num_sites_ || peer == my_site_) return false;
   Peer& p = peers_[peer];
   const FrameNo ack = last_rcv_[peer];         // sd[0]
   const FrameNo first_unacked = p.last_ack + 1;
@@ -118,15 +118,14 @@ std::optional<SyncMsg> SyncPeer::make_message(SiteId peer, Time now) {
     }
   }
 
-  if (!have_inputs && !have_new_ack) return std::nullopt;  // "if new info exists"
+  if (!have_inputs && !have_new_ack) return false;  // "if new info exists"
 
-  SyncMsg msg;
   msg.site = my_site_;
   msg.ack_frame = ack;
   msg.first_frame = first;
+  msg.inputs.clear();
   if (have_inputs) {
     const auto count = std::min<FrameNo>(last - first + 1, cfg_.max_inputs_per_message);
-    msg.inputs.reserve(static_cast<std::size_t>(count));
     for (FrameNo f = first; f < first + count; ++f) {
       msg.inputs.push_back(ibuf_.partial(my_site_, f));
       if (f <= p.highest_sent) {
@@ -141,18 +140,14 @@ std::optional<SyncMsg> SyncPeer::make_message(SiteId peer, Time now) {
   }
 
   msg.send_time = now;
-  if (p.last_send_time >= 0) {
-    msg.echo_time = p.last_send_time;
-    msg.echo_hold = now - p.last_recv_time;
-  }
-  if (latest_own_.frame >= 0) {
-    msg.hash_frame = latest_own_.frame;
-    msg.state_hash = latest_own_.hash;
-  }
+  msg.echo_time = p.last_send_time >= 0 ? p.last_send_time : -1;
+  msg.echo_hold = p.last_send_time >= 0 ? now - p.last_recv_time : 0;
+  msg.hash_frame = latest_own_.frame >= 0 ? latest_own_.frame : -1;
+  msg.state_hash = latest_own_.frame >= 0 ? latest_own_.hash : 0;
 
   p.ack_sent = std::max(p.ack_sent, ack);
   ++stats_.messages_made;
-  return msg;
+  return true;
 }
 
 void SyncPeer::ingest(const SyncMsg& msg, Time recv_time) {

@@ -95,13 +95,19 @@ class SyncPeer {
   void submit_local(FrameNo frame, InputWord local_input);
 
   // ---- Algorithm 2, lines 7-11 -----------------------------------------
-  /// Builds the next outbound message for `peer`: cumulative ack + the
-  /// local inputs that peer has not acknowledged (capped at
-  /// max_inputs_per_message). Returns nullopt when there is nothing useful
-  /// to say (everything acked AND our ack is already known to the peer),
-  /// and for ourselves or an out-of-range site. Call for each peer on
-  /// every flush tick.
-  std::optional<SyncMsg> make_message(SiteId peer, Time now);
+  /// Builds the next outbound message for `peer` into `out`, reusing its
+  /// inputs buffer: cumulative ack + the local inputs that peer has not
+  /// acknowledged (capped at max_inputs_per_message). Returns false (and
+  /// leaves `out` alone) when there is nothing useful to say (everything
+  /// acked AND our ack is already known to the peer), and for ourselves or
+  /// an out-of-range site. Call for each peer on every flush tick.
+  bool make_message_into(SiteId peer, Time now, SyncMsg& out);
+  /// make_message_into() into a fresh message; nullopt for false.
+  std::optional<SyncMsg> make_message(SiteId peer, Time now) {
+    SyncMsg msg;
+    if (!make_message_into(peer, now, msg)) return std::nullopt;
+    return msg;
+  }
 
   // ---- Algorithm 2, lines 12-20 ----------------------------------------
   /// Merges a message from whichever site sent it (msg.site); our own or

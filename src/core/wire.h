@@ -136,6 +136,20 @@ void encode_message_into(const Message& msg, std::vector<std::uint8_t>& out);
 /// on the wire; the broadcast hub encodes each one exactly once).
 void encode_snapshot_into(FrameNo frame, std::span<const std::uint8_t> state,
                           std::vector<std::uint8_t>& out);
+/// Encodes an InputFeedMsg from borrowed inputs — byte-for-byte identical
+/// to encode_message(InputFeedMsg{first_frame, inputs}) — sizing `out`
+/// exactly once.
+void encode_feed_into(FrameNo first_frame, std::span<const InputWord> inputs,
+                      std::vector<std::uint8_t>& out);
 std::optional<Message> decode_message(std::span<const std::uint8_t> data);
+/// decode_message() into a caller-owned message: when `out` already holds
+/// the decoded type, its input or state buffer is reused, so a steady
+/// stream of SYNCs (or feeds) decodes without allocating. Returns false,
+/// leaving `out` unspecified, where decode_message returns nullopt.
+bool decode_message_into(std::span<const std::uint8_t> data, Message& out);
+
+/// The SYNC path without a Message variant: byte-identical to
+/// encode_message_into(Message{msg}, out), without copying the message.
+void encode_sync_into(const SyncMsg& msg, std::vector<std::uint8_t>& out);
 
 }  // namespace rtct::core

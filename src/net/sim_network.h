@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "src/net/netem.h"
 #include "src/net/transport.h"
@@ -32,25 +32,34 @@ class SimEndpoint final : public DatagramTransport {
 
   /// Reconfigures this endpoint's outgoing direction mid-simulation.
   void set_tx_config(const NetemConfig& cfg) { tx_->set_config(cfg); }
-  [[nodiscard]] std::size_t inbox_size() const { return inbox_.size(); }
+  [[nodiscard]] std::size_t inbox_size() const { return inbox_.size() - inbox_head_; }
 
  private:
   friend class SimDuplexLink;
   SimEndpoint(sim::Simulator& sim, NetemConfig cfg, Rng rng)
       : sim_(sim), tx_(std::make_unique<NetemModel>(cfg, rng)), trigger_(sim) {}
 
-  void deliver(Payload payload);
+  /// Copies `payload` into a free in-flight slot; returns its index.
+  std::uint64_t park(std::span<const std::uint8_t> payload);
+  /// Arrival thunk: hands in-flight slot `slot` to the peer's inbox.
+  static void arrive(void* endpoint, std::uint64_t slot);
 
   sim::Simulator& sim_;
   SimEndpoint* peer_ = nullptr;
   std::unique_ptr<NetemModel> tx_;
-  std::deque<Payload> inbox_;
+  // Datagrams on the wire: one copy at send, moved to the peer on arrival.
+  std::vector<Payload> in_flight_;
+  std::vector<std::uint64_t> free_slots_;
+  // Arrived datagrams from inbox_head_ on; both reset once drained, so the
+  // queue reuses its storage.
+  std::vector<Payload> inbox_;
+  std::size_t inbox_head_ = 0;
   sim::Trigger trigger_;
 };
 
-/// Owns both endpoints. Keep it alive until the simulation finishes: in-
-/// flight datagrams hold no back-reference, but endpoints must exist when
-/// their delivery events fire.
+/// Owns both endpoints. Keep it alive until the simulation finishes: a
+/// datagram in flight lives in its sender's slab, and both endpoints must
+/// exist when its arrival event fires.
 class SimDuplexLink {
  public:
   /// `a_to_b` / `b_to_a` shape the two directions independently (asymmetric

@@ -19,19 +19,42 @@ void Task::promise_type::unhandled_exception() noexcept {
 }
 
 void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
-  sim.schedule_in(d, [h] { h.resume(); });
+  sim.schedule_event(sim.now() + d, &Simulator::resume, h.address());
 }
 
 Simulator::~Simulator() {
-  // Drop pending events first (they may capture coroutine handles we are
-  // about to destroy), then destroy any still-live coroutine frames.
-  while (!queue_.empty()) queue_.pop();
+  // Parked callables may capture handles of the frames destroyed next.
+  parked_.clear();
   for (auto h : tasks_) h.destroy();
 }
 
-void Simulator::schedule_at(Time t, std::function<void()> fn) {
+void Simulator::schedule_event(Time t, Thunk fn, void* obj, std::uint64_t arg) {
   if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  queue_.push(Event{t, next_seq_++, fn, obj, arg});
+}
+
+void Simulator::resume(void* obj, std::uint64_t /*arg*/) {
+  std::coroutine_handle<>::from_address(obj).resume();
+}
+
+void Simulator::schedule_at(Time t, std::function<void()> fn) {
+  if (free_parked_.empty()) {
+    free_parked_.push_back(parked_.size());
+    parked_.emplace_back();
+  }
+  const std::uint64_t slot = free_parked_.back();
+  free_parked_.pop_back();
+  parked_[slot] = std::move(fn);
+  schedule_event(t, &Simulator::run_parked, this, slot);
+}
+
+void Simulator::run_parked(void* sim, std::uint64_t slot) {
+  auto& self = *static_cast<Simulator*>(sim);
+  // Free the slot before the call: the callback may reuse it or regrow
+  // the slab.
+  const std::function<void()> fn = std::move(self.parked_[slot]);
+  self.free_parked_.push_back(slot);
+  fn();
 }
 
 void Simulator::spawn(Task task) {
@@ -43,9 +66,11 @@ void Simulator::spawn(Task task) {
   if (any_finished_) prune_finished();
 }
 
-void Simulator::run_event(Event& ev) {
+void Simulator::run_next() {
+  const Event ev = queue_.top();
+  queue_.pop();
   now_ = ev.t;
-  ev.fn();
+  ev.fn(ev.obj, ev.arg);
   if (any_finished_) prune_finished();
 }
 
@@ -58,30 +83,15 @@ void Simulator::prune_finished() {
   any_finished_ = false;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast (safe: we pop
-  // immediately and never touch the moved-from element again).
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  run_event(ev);
-  return true;
-}
-
 std::size_t Simulator::run() {
   std::size_t n = 0;
-  while (step()) ++n;
+  for (; !queue_.empty(); ++n) run_next();
   return n;
 }
 
 std::size_t Simulator::run_until(Time t) {
   std::size_t n = 0;
-  while (!queue_.empty() && queue_.top().t <= t) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    run_event(ev);
-    ++n;
-  }
+  for (; !queue_.empty() && queue_.top().t <= t; ++n) run_next();
   now_ = t;
   return n;
 }

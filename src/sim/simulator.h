@@ -11,6 +11,8 @@
 // `Trigger`s (condition-variable analogue); the network model delivers
 // datagrams by scheduling future events. Events at equal times run in
 // schedule order (stable FIFO), so runs are bit-reproducible.
+// An event is a trivially copyable `fn(obj, arg)` thunk, so sleeps,
+// trigger wakes and datagram arrivals schedule without allocating.
 #pragma once
 
 #include <coroutine>
@@ -76,7 +78,13 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules a callback at absolute virtual time `t` (clamped to now).
+  using Thunk = void (*)(void* obj, std::uint64_t arg);
+  /// Schedules `fn(obj, arg)` at absolute virtual time `t` (clamped to now).
+  void schedule_event(Time t, Thunk fn, void* obj, std::uint64_t arg = 0);
+  /// The thunk that resumes the coroutine whose address is `obj`.
+  static void resume(void* obj, std::uint64_t arg);
+
+  /// Cold callers' adapter: parks `fn` in a reused slab behind a thunk.
   void schedule_at(Time t, std::function<void()> fn);
   /// Schedules a callback `d` from now.
   void schedule_in(Dur d, std::function<void()> fn) { schedule_at(now_ + d, std::move(fn)); }
@@ -87,15 +95,11 @@ class Simulator {
   /// In-coroutine: suspends the caller for virtual duration `d`.
   [[nodiscard]] SleepAwaiter sleep(Dur d) { return SleepAwaiter{*this, d}; }
 
-  /// Runs the next pending event. Returns false if the queue is empty.
-  bool step();
-
   /// Runs events until the queue drains. Returns the number executed.
   std::size_t run();
 
   /// Runs all events with time <= t, then advances the clock to t.
   std::size_t run_until(Time t);
-  std::size_t run_for(Dur d) { return run_until(now_ + d); }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
@@ -104,23 +108,22 @@ class Simulator {
  private:
   friend struct Task::promise_type;
 
-  struct Event {
-    Time t;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
+  struct Event { Time t; std::uint64_t seq; Thunk fn; void* obj; std::uint64_t arg; };
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
 
-  void run_event(Event& ev);
+  static void run_parked(void* sim, std::uint64_t slot);
+  void run_next();
   void prune_finished();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<std::function<void()>> parked_;  ///< schedule_at callables
+  std::vector<std::uint64_t> free_parked_;     ///< reusable parked_ slots
   std::vector<std::coroutine_handle<Task::promise_type>> tasks_;
   bool any_finished_ = false;
 };

@@ -4,44 +4,29 @@
 
 namespace rtct::sim {
 
-std::shared_ptr<Trigger::WaitState> Trigger::add_waiter(std::coroutine_handle<> h) {
-  // Lazily drop entries already consumed by a timeout.
-  std::erase_if(waiters_, [](const auto& w) { return w->fired; });
-  auto state = std::make_shared<WaitState>();
-  state->h = h;
-  waiters_.push_back(state);
-  return state;
-}
-
 void Trigger::notify_all() {
-  // Swap out the list first: a resumed waiter may immediately wait again,
-  // and that new registration must not receive this notification.
-  std::vector<std::shared_ptr<WaitState>> pending;
-  pending.swap(waiters_);
-  for (auto& w : pending) {
-    if (w->fired) continue;
-    w->fired = true;
-    w->notified = true;
-    sim_.schedule_at(sim_.now(), [w] { w->h.resume(); });
+  // A woken waiter that waits again runs later, so it joins the next notify.
+  for (const Waiter& w : waiters_) {
+    *w.notified = true;
+    sim_.schedule_event(sim_.now(), &Simulator::resume, w.h.address());
   }
+  waiters_.clear();
 }
 
-std::size_t Trigger::waiter_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(waiters_.begin(), waiters_.end(), [](const auto& w) { return !w->fired; }));
+void Trigger::expire(void* trigger, std::uint64_t id) {
+  auto& self = *static_cast<Trigger*>(trigger);
+  const auto it = std::find_if(self.waiters_.begin(), self.waiters_.end(),
+                               [id](const Waiter& w) { return w.id == id; });
+  if (it == self.waiters_.end()) return;  // a notify took this wait first
+  const std::coroutine_handle<> h = it->h;
+  self.waiters_.erase(it);  // keeps the others' notify order
+  h.resume();
 }
 
-void Trigger::WaitAwaiter::await_suspend(std::coroutine_handle<> h) { trig.add_waiter(h); }
-
-void Trigger::TimedWaitAwaiter::await_suspend(std::coroutine_handle<> h) {
-  state = trig.add_waiter(h);
-  auto s = state;
-  trig.sim_.schedule_at(deadline, [s] {
-    if (s->fired) return;
-    s->fired = true;
-    s->notified = false;
-    s->h.resume();
-  });
+void Trigger::Awaiter::await_suspend(std::coroutine_handle<> h) {
+  const std::uint64_t id = trig.next_id_++;
+  trig.waiters_.push_back(Waiter{h, &notified, id});
+  if (deadline != kNever) trig.sim_.schedule_event(deadline, &Trigger::expire, &trig, id);
 }
 
 }  // namespace rtct::sim

@@ -3,10 +3,14 @@
 // A site process blocked in Algorithm 2's receive loop must wake either when
 // a datagram arrives (notify) or when its periodic send timer is due
 // (deadline) — Trigger::wait_until models exactly that race.
+//
+// Lifetime rule: a Trigger outlives every timed wait pending on it (its
+// deadline event refers to the trigger); Simulator::run() empties the queue.
 #pragma once
 
 #include <coroutine>
-#include <memory>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -25,42 +29,40 @@ class Trigger {
   void notify_all();
 
   /// `co_await trigger.wait()` — suspends until the next notify_all().
-  [[nodiscard]] auto wait() { return WaitAwaiter{*this}; }
+  [[nodiscard]] auto wait() { return Awaiter{*this, kNever}; }
 
   /// `bool notified = co_await trigger.wait_until(deadline)` — suspends
   /// until notify_all() or the virtual-time deadline, whichever first.
   /// Returns true if notified, false on timeout.
-  [[nodiscard]] auto wait_until(Time deadline) { return TimedWaitAwaiter{*this, deadline, {}}; }
+  [[nodiscard]] auto wait_until(Time deadline) { return Awaiter{*this, deadline}; }
 
-  [[nodiscard]] std::size_t waiter_count() const;
+  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  struct WaitState {
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+
+  /// One pending wait; `notified` lives in its awaiter (the coroutine frame).
+  struct Waiter {
     std::coroutine_handle<> h;
-    bool fired = false;
+    bool* notified;
+    std::uint64_t id;
+  };
+
+  struct Awaiter {
+    Trigger& trig;
+    Time deadline;  ///< kNever: no deadline event
     bool notified = false;
-  };
-
-  struct WaitAwaiter {
-    Trigger& trig;
     [[nodiscard]] bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
+    bool await_resume() const noexcept { return notified; }
   };
 
-  struct TimedWaitAwaiter {
-    Trigger& trig;
-    Time deadline;
-    std::shared_ptr<WaitState> state;
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    [[nodiscard]] bool await_resume() const noexcept { return state->notified; }
-  };
-
-  std::shared_ptr<WaitState> add_waiter(std::coroutine_handle<> h);
+  /// Deadline thunk: times out wait `id` unless a notify already took it.
+  static void expire(void* trigger, std::uint64_t id);
 
   Simulator& sim_;
-  std::vector<std::shared_ptr<WaitState>> waiters_;
+  std::vector<Waiter> waiters_;  ///< pending waits, in registration order
+  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace rtct::sim

@@ -310,9 +310,9 @@ class SimObserver {
         ep_.send(wire_scratch_);
       }
       while (auto payload = ep_.try_recv()) {
-        if (auto msg = core::decode_message(*payload)) {
+        if (core::decode_message_into(*payload, msg_in_)) {
           const bool was_joined = client_.joined();
-          client_.ingest(*msg);
+          client_.ingest(msg_in_);
           if (!was_joined && client_.joined()) {
             result_.joined = true;
             result_.snapshot_frame = client_.applied_frame();
@@ -336,6 +336,7 @@ class SimObserver {
   emu::IDeterministicGame& game_;
   core::SpectatorClient client_;
   std::vector<std::uint8_t> wire_scratch_;  ///< reused encode buffer
+  core::Message msg_in_;                    ///< reused decode target
   ObserverResult result_;
 };
 

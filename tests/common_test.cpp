@@ -61,6 +61,29 @@ TEST(BytesTest, OverrunPoisonsReaderAndReturnsZeros) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(BytesTest, StraddlingReadReturnsZeroAndConsumesNothing) {
+  // Every width, with every shortfall: a read that would run past the end
+  // yields 0 (not the bytes that were there) and leaves the position.
+  const std::vector<std::uint8_t> data{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77};
+  for (std::size_t left = 1; left < 8; ++left) {
+    const std::span<const std::uint8_t> tail(data.data(), left);
+    ByteReader r64(tail);
+    EXPECT_EQ(r64.u64(), 0u) << left;
+    EXPECT_FALSE(r64.ok());
+    EXPECT_EQ(r64.remaining(), left);
+    if (left < 4) {
+      ByteReader r32(tail);
+      EXPECT_EQ(r32.u32(), 0u) << left;
+      EXPECT_FALSE(r32.ok());
+      EXPECT_EQ(r32.remaining(), left);
+    }
+  }
+  ByteReader r16(std::span<const std::uint8_t>(data.data(), 1));
+  EXPECT_EQ(r16.u16(), 0u);
+  EXPECT_EQ(r16.remaining(), 1u);
+  EXPECT_EQ(r16.u8(), 0u);  // poisoned: later reads return 0 too
+}
+
 TEST(BytesTest, BytesSpanIsBoundsChecked) {
   ByteWriter w;
   w.u32(0x01020304);

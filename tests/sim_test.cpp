@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
+#include "src/net/sim_network.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trigger.h"
 
@@ -56,6 +59,34 @@ TEST(SimulatorTest, RunUntilLeavesLaterEventsPending) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
   EXPECT_EQ(ran, 2);
+}
+
+TEST(SimulatorTest, CallbacksScheduleCallbacksWhileTheirSlotsAreReused) {
+  // Each callback frees its slot before it runs, so the two it schedules
+  // reuse that slot and may regrow the slab under it. The captured array
+  // is too large for std::function's local buffer: a callable that the
+  // slab moved or overwrote would show up as a wrong tag.
+  Simulator sim;
+  std::vector<int> ran;
+  std::function<void(int)> spawn = [&](int id) {
+    std::array<int, 16> tag{};
+    tag.fill(id);
+    sim.schedule_in(milliseconds(1), [&, id, tag] {
+      for (int t : tag) ASSERT_EQ(t, id);
+      ran.push_back(id);
+      if (id < 64) {
+        spawn(2 * id);
+        spawn(2 * id + 1);
+      }
+    });
+  };
+  spawn(1);
+  sim.run();
+  ASSERT_EQ(ran.size(), 127u);
+  // Breadth-first: one level per millisecond, each level in schedule order.
+  for (std::size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], static_cast<int>(i + 1));
+  EXPECT_EQ(sim.now(), milliseconds(7));
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
@@ -254,6 +285,124 @@ TEST(TriggerTest, NotifierDoesNotRunWaiterInline) {
   sim.run();
   EXPECT_FALSE(observed_during_notify);
   EXPECT_TRUE(waiter_ran);
+}
+
+TEST(TriggerTest, RewaitAfterTimeoutIsNotWokenByAnythingStale) {
+  // The first wait is notified at 1 ms, leaving its 10 ms deadline queued;
+  // the second times out at 2 ms, leaving nothing. The third wait must
+  // be woken by neither the stale deadline nor an old notify, only by its
+  // own deadline at 25 ms.
+  Simulator sim;
+  Trigger trig(sim);
+  std::vector<std::pair<bool, Time>> out;
+  struct Fn {
+    static Task run(Simulator& s, Trigger& t, std::vector<std::pair<bool, Time>>& log) {
+      log.emplace_back(co_await t.wait_until(milliseconds(10)), s.now());
+      log.emplace_back(co_await t.wait_until(milliseconds(2)), s.now());
+      log.emplace_back(co_await t.wait_until(milliseconds(25)), s.now());
+    }
+  };
+  sim.spawn(Fn::run(sim, trig, out));
+  sim.schedule_at(milliseconds(1), [&] { trig.notify_all(); });
+  sim.run();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], std::make_pair(true, milliseconds(1)));
+  EXPECT_EQ(out[1], std::make_pair(false, milliseconds(2)));
+  EXPECT_EQ(out[2], std::make_pair(false, milliseconds(25)));
+  EXPECT_EQ(trig.waiter_count(), 0u);
+}
+
+TEST(TriggerTest, NotifiedTimedWaitsDeadlineDoesNothing) {
+  Simulator sim;
+  Trigger trig(sim);
+  int resumes = 0;
+  Time slept_until = -1;
+  struct Fn {
+    static Task run(Simulator& s, Trigger& t, int& count, Time& until) {
+      EXPECT_TRUE(co_await t.wait_until(milliseconds(10)));
+      ++count;
+      co_await s.sleep(milliseconds(20));  // spans the old deadline
+      ++count;
+      until = s.now();
+    }
+  };
+  sim.spawn(Fn::run(sim, trig, resumes, slept_until));
+  sim.schedule_at(milliseconds(1), [&] { trig.notify_all(); });
+  sim.run();
+  EXPECT_EQ(resumes, 2);
+  EXPECT_EQ(slept_until, milliseconds(21));
+}
+
+TEST(TriggerTest, NotifyAndDeadlineAtTheSameTimeRunInScheduleOrder) {
+  struct Fn {
+    static Task run(Simulator&, Trigger& t, std::vector<bool>& out) {
+      out.push_back(co_await t.wait_until(milliseconds(10)));
+    }
+  };
+  {
+    // The wait's deadline was scheduled before the notify: it times out.
+    Simulator sim;
+    Trigger trig(sim);
+    std::vector<bool> out;
+    sim.spawn(Fn::run(sim, trig, out));
+    sim.schedule_at(milliseconds(10), [&] { trig.notify_all(); });
+    sim.run();
+    EXPECT_EQ(out, std::vector<bool>{false});
+  }
+  {
+    // The notify was scheduled first: it takes the wait, and the deadline
+    // that follows at the same time finds nothing to expire.
+    Simulator sim;
+    Trigger trig(sim);
+    std::vector<bool> out;
+    sim.schedule_at(milliseconds(10), [&] { trig.notify_all(); });
+    sim.spawn(Fn::run(sim, trig, out));
+    sim.run();
+    EXPECT_EQ(out, std::vector<bool>{true});
+  }
+}
+
+// Teardown with work outstanding: timed waits pending on triggers, and
+// datagrams in flight in a link's slab. Nothing may run or leak (the
+// sanitize preset runs this under ASan).
+Task waiter(Simulator& s, Trigger& t, int& resumes) {
+  for (;;) {
+    (void)co_await t.wait_until(s.now() + milliseconds(30));
+    ++resumes;
+  }
+}
+
+void start_pending_work(Simulator& sim, net::SimDuplexLink& link, Trigger& trig, int& resumes) {
+  sim.spawn(waiter(sim, trig, resumes));
+  sim.spawn(waiter(sim, link.b().arrival_trigger(), resumes));
+  const std::vector<std::uint8_t> datagram(300, 0xAB);  // beyond any small buffer
+  for (int i = 0; i < 8; ++i) link.a().send(datagram);
+  sim.run_until(milliseconds(5));
+}
+
+TEST(SimulatorTeardownTest, SimulatorDestroyedFirst) {
+  int resumes = 0;
+  auto sim = std::make_unique<Simulator>();
+  auto link = std::make_unique<net::SimDuplexLink>(*sim, net::NetemConfig::for_rtt(
+                                                             milliseconds(100)));
+  auto trig = std::make_unique<Trigger>(*sim);
+  start_pending_work(*sim, *link, *trig, resumes);
+  EXPECT_GT(sim->pending_events(), 8u);
+  sim.reset();
+  trig.reset();
+  link.reset();
+  EXPECT_EQ(resumes, 0);
+}
+
+TEST(SimulatorTeardownTest, SimulatorDestroyedLast) {
+  int resumes = 0;
+  Simulator sim;
+  net::SimDuplexLink link(sim, net::NetemConfig::for_rtt(milliseconds(100)));
+  Trigger trig(sim);
+  start_pending_work(sim, link, trig, resumes);
+  EXPECT_EQ(link.b().arrival_trigger().waiter_count(), 1u);
+  EXPECT_EQ(trig.waiter_count(), 1u);
+  EXPECT_EQ(resumes, 0);
 }
 
 }  // namespace
